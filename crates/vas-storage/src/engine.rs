@@ -98,8 +98,14 @@ impl std::fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// The visualization query engine: registered tables plus per-projection
-/// sample catalogs. Reads are lock-free once built (catalogs sit behind an
-/// `RwLock` so concurrent query threads can share the engine).
+/// sample catalogs.
+///
+/// Concurrency contract: tables are immutable once registered (registering
+/// takes `&mut self`), so exact queries read them without any lock.
+/// Catalogs sit behind an `RwLock`: budgeted queries take its read lock for
+/// the length of the query, and catalog builds take its write lock only to
+/// insert the finished catalog. Concurrent query threads can therefore share
+/// one engine by reference.
 #[derive(Debug, Default)]
 pub struct VizEngine {
     tables: BTreeMap<String, Table>,

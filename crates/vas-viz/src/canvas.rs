@@ -16,6 +16,11 @@ pub struct Canvas {
 impl Canvas {
     /// Creates a canvas filled with `background`.
     ///
+    /// The fill doubles the filled prefix with `extend_from_within` (one
+    /// `memcpy` per step). `vec![c; n]` writes a 3-byte [`Color`] one pixel
+    /// at a time, and at 640×480 that clear costs more than drawing a
+    /// budgeted sample of a few hundred dots.
+    ///
     /// # Panics
     /// Panics if either dimension is zero.
     pub fn new(width: usize, height: usize, background: Color) -> Self {
@@ -23,10 +28,16 @@ impl Canvas {
             width > 0 && height > 0,
             "canvas dimensions must be positive"
         );
+        let n = width * height;
+        let mut pixels = Vec::with_capacity(n);
+        pixels.push(background);
+        while pixels.len() < n {
+            pixels.extend_from_within(..pixels.len().min(n - pixels.len()));
+        }
         Self {
             width,
             height,
-            pixels: vec![background; width * height],
+            pixels,
         }
     }
 
@@ -66,18 +77,31 @@ impl Canvas {
         }
     }
 
-    /// Draws a filled disc of the given pixel radius centred at `(cx, cy)`.
+    /// Draws a filled disc of the given pixel radius centred at `(cx, cy)`:
+    /// every pixel with `dx² + dy² ≤ radius²`, clipped to the canvas.
     /// Radius 0 paints the single centre pixel.
+    ///
+    /// Each disc row is one clipped slice `fill`; its half-width is the
+    /// largest `dx ≤ radius` with `dx² ≤ radius² − dy²`. Counting down from
+    /// `radius` finds it faster than `isqrt` for the small radii plots use.
     pub fn fill_circle(&mut self, cx: isize, cy: isize, radius: isize, color: Color) {
         if radius <= 0 {
             self.set(cx, cy, color);
             return;
         }
-        for dy in -radius..=radius {
-            for dx in -radius..=radius {
-                if dx * dx + dy * dy <= radius * radius {
-                    self.set(cx + dx, cy + dy, color);
-                }
+        let y_lo = cy.saturating_sub(radius).max(0);
+        let y_hi = cy.saturating_add(radius).min(self.height as isize - 1);
+        for y in y_lo..=y_hi {
+            let dy = y - cy;
+            let mut half = radius;
+            while half * half > radius * radius - dy * dy {
+                half -= 1;
+            }
+            let x0 = cx.saturating_sub(half).max(0);
+            let x1 = cx.saturating_add(half).min(self.width as isize - 1);
+            if x0 <= x1 {
+                let row = y as usize * self.width;
+                self.pixels[row + x0 as usize..=row + x1 as usize].fill(color);
             }
         }
     }
@@ -201,6 +225,91 @@ mod tests {
         let mut c0 = Canvas::white(5, 5);
         c0.fill_circle(2, 2, 0, Color::BLACK);
         assert_eq!(c0.ink(Color::WHITE), 1);
+    }
+
+    /// The clear before the doubling fill.
+    fn new_reference(width: usize, height: usize, background: Color) -> Canvas {
+        Canvas {
+            width,
+            height,
+            pixels: vec![background; width * height],
+        }
+    }
+
+    /// The disc before the span fill: one bounds-checked `set` per lattice
+    /// point of the `(2r + 1)²` square.
+    fn fill_circle_reference(c: &mut Canvas, cx: isize, cy: isize, radius: isize, color: Color) {
+        if radius <= 0 {
+            c.set(cx, cy, color);
+            return;
+        }
+        for dy in -radius..=radius {
+            for dx in -radius..=radius {
+                if dx * dx + dy * dy <= radius * radius {
+                    c.set(cx + dx, cy + dy, color);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn doubling_fill_matches_vec_fill() {
+        let teal = Color::new(12, 130, 141);
+        for (w, h) in [
+            (1, 1),
+            (1, 7),
+            (9, 1),
+            (1, 1024),
+            (3, 5),
+            (17, 13),
+            (640, 480),
+            (641, 479),
+        ] {
+            for bg in [teal, Color::WHITE, Color::BLACK] {
+                let fast = Canvas::new(w, h, bg);
+                assert_eq!(fast, new_reference(w, h, bg), "{w}x{h} {bg:?}");
+                assert_eq!(fast.pixels.len(), w * h);
+            }
+        }
+    }
+
+    #[test]
+    fn span_fill_matches_per_pixel_disc() {
+        let (w, h) = (23isize, 17isize);
+        let ink = Color::new(200, 30, 90);
+        let bg = Color::new(12, 130, 141);
+        let blank = || new_reference(w as usize, h as usize, bg);
+        // Inside, on every edge and corner, just outside each edge, and far
+        // enough out (9 > r) that the disc misses the canvas.
+        let near = |n: isize| [-40, -9, -3, -1, 0, 1, n / 2, n - 2, n - 1, n, n + 2, n + 9];
+        let centres: Vec<(isize, isize)> = near(w)
+            .into_iter()
+            .flat_map(|x| near(h).map(|y| (x, y)))
+            .collect();
+        for r in -1..=8isize {
+            for &(cx, cy) in &centres {
+                let mut fast = blank();
+                let mut reference = blank();
+                fast.fill_circle(cx, cy, r, ink);
+                fill_circle_reference(&mut reference, cx, cy, r, ink);
+                assert_eq!(fast, reference, "centre ({cx}, {cy}), radius {r}");
+            }
+            // The reference would overflow `cx + dx` here; nothing is painted.
+            for (cx, cy) in [(isize::MIN, 3), (3, isize::MAX)] {
+                let mut fast = blank();
+                fast.fill_circle(cx, cy, r, ink);
+                assert_eq!(fast, blank(), "centre ({cx}, {cy}), radius {r}");
+            }
+        }
+        // Overlapping discs of different colors overdraw in call order.
+        let mut fast = blank();
+        let mut reference = blank();
+        for (i, &(cx, cy)) in centres.iter().enumerate() {
+            let color = Color::new(i as u8, (i * 7) as u8, (i * 13) as u8);
+            fast.fill_circle(cx, cy, (i % 9) as isize, color);
+            fill_circle_reference(&mut reference, cx, cy, (i % 9) as isize, color);
+        }
+        assert_eq!(fast, reference);
     }
 
     #[test]

@@ -19,6 +19,9 @@ use crate::viewport::Viewport;
 use std::time::{Duration, Instant};
 use vas_data::Point;
 
+/// Renders timed per calibration size; the fit uses the fastest.
+const CALIBRATION_RUNS: usize = 5;
+
 /// A linear visualization-latency model: `time(n) = overhead + n · per_tuple`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
@@ -54,7 +57,8 @@ impl LatencyModel {
 
     /// Calibrates a model against this crate's rasterizer by rendering
     /// `calibration_sizes` synthetic point sets and fitting the linear model
-    /// through the two extreme measurements.
+    /// through the two extreme measurements. Each measurement is the minimum
+    /// of five renders, so one preempted render cannot skew the fit.
     pub fn calibrate(
         renderer: &ScatterRenderer,
         viewport: &Viewport,
@@ -78,11 +82,16 @@ impl LatencyModel {
                     )
                 })
                 .collect();
-            let start = Instant::now();
-            let canvas = renderer.render_points(&points, viewport);
-            let elapsed = start.elapsed();
-            std::hint::black_box(canvas.ink(crate::color::Color::WHITE));
-            elapsed
+            (0..CALIBRATION_RUNS)
+                .map(|_| {
+                    let start = Instant::now();
+                    let canvas = renderer.render_points(&points, viewport);
+                    let elapsed = start.elapsed();
+                    std::hint::black_box(canvas.ink(crate::color::Color::WHITE));
+                    elapsed
+                })
+                .min()
+                .expect("at least one calibration run")
         };
         let n_lo = sizes[0];
         let n_hi = sizes[sizes.len() - 1];

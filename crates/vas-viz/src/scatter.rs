@@ -421,4 +421,79 @@ mod tests {
         assert_eq!(value_range(&pts, &v), (10.0, 10.0));
         assert_eq!(value_range(&[], &v), (0.0, 0.0));
     }
+
+    /// FNV-1a over the canvas's RGB bytes.
+    fn canvas_hash(c: &Canvas) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for y in 0..c.height() {
+            for x in 0..c.width() {
+                let p = c.get(x, y);
+                for b in [p.r, p.g, p.b] {
+                    h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Canvas hashes of a Geolife slice under every plot style, one entry
+    /// per (style, viewport) pair: the default, map, density, jitter and
+    /// two dark-background styles, each at full extent and zoomed in.
+    fn style_canvas_hashes() -> Vec<u64> {
+        let d = vas_data::GeolifeGenerator::with_size(5_000, 11).generate();
+        let densities: Vec<u64> = (0..d.points.len())
+            .map(|i| 1 + (i as u64 * 7_919) % 500)
+            .collect();
+        let sample = Sample::new("vas", d.points.len(), d.points).with_densities(densities);
+        let full = Viewport::fit(&sample.points, 640, 480);
+        let zoom = Viewport::new(full.region().subregion(0.4, 0.4, 0.6, 0.6), 640, 480);
+        let dark = Color::new(16, 18, 28);
+        let styles = [
+            PlotStyle::default(),
+            PlotStyle::map_plot(),
+            PlotStyle::density_plot(6),
+            PlotStyle::jitter_plot(12, 5),
+            PlotStyle {
+                radius: 3,
+                color: Color::new(240, 200, 60),
+                background: dark,
+                ..PlotStyle::default()
+            },
+            PlotStyle {
+                background: dark,
+                ..PlotStyle::map_plot()
+            },
+        ];
+        let mut out = Vec::new();
+        for style in styles {
+            for viewport in [&full, &zoom] {
+                let canvas = ScatterRenderer::new(style).render_sample(&sample, viewport);
+                out.push(canvas_hash(&canvas));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn renders_match_the_per_pixel_rasterizer_bit_for_bit() {
+        // Produced by the renderer as it was before the doubling canvas
+        // clear and the span-filled discs (a `vec![bg; n]` clear and one
+        // bounds-checked `set` per disc pixel). A mismatch means a canvas
+        // changed by at least one pixel, or the generated Geolife slice did.
+        let per_pixel_rasterizer: [u64; 12] = [
+            0xd2cd_0e65_8ded_59ab,
+            0xf4aa_7298_f30d_eefd,
+            0x19b7_7c53_e0b3_d89d,
+            0x9bdd_6523_e609_979f,
+            0xed1c_00f9_6c81_7876,
+            0xc42e_1b42_34a5_1417,
+            0x3482_8a7d_0e11_092a,
+            0x3e60_b497_9aa5_9ffb,
+            0x6b27_274a_2f02_78d7,
+            0x318a_74fe_4075_cf6f,
+            0xdf21_75a3_d792_1f9f,
+            0x473d_200e_ffe1_c69f,
+        ];
+        assert_eq!(style_canvas_hashes(), per_pixel_rasterizer);
+    }
 }
