@@ -440,8 +440,10 @@ impl<L: LocalityIndex> std::fmt::Debug for VasSampler<L> {
 impl VasSampler {
     /// Creates a sampler whose locality backend is chosen at runtime from
     /// [`VasConfig::locality_backend`]. If `config.epsilon` is `None`, the
-    /// bandwidth is resolved from the extent of the first `K` buffered
-    /// points.
+    /// bandwidth is resolved from the whole dataset by
+    /// [`build`](Self::build) and [`sample_dataset`](Sampler::sample_dataset),
+    /// and from the extent of the first `K` buffered points when the
+    /// sampler is fed point by point through `observe`.
     pub fn new(config: VasConfig) -> Self {
         let index = AnyLocalityIndex::new(config.locality_backend);
         Self::with_index(config, index)
@@ -2103,6 +2105,22 @@ impl<L: LocalityIndex> Sampler for VasSampler<L> {
         self.maybe_report_progress();
     }
 
+    /// The default point-by-point driver, except that a bandwidth not yet
+    /// resolved comes from the whole dataset (the paper's rule, as in
+    /// [`build`](VasSampler::build) and
+    /// [`from_dataset`](VasSampler::from_dataset)) rather than from the
+    /// extent of the first `K` points. Points already buffered by earlier
+    /// `observe` calls keep the deferred rule.
+    fn sample_dataset(&mut self, dataset: &Dataset) -> Sample {
+        if self.kernel.is_none() && self.points.is_empty() {
+            self.install_kernel(GaussianKernel::for_dataset(dataset));
+        }
+        for p in dataset.iter() {
+            self.observe(*p);
+        }
+        self.finalize()
+    }
+
     fn finalize(&mut self) -> Sample {
         if self.kernel.is_none() && !self.points.is_empty() {
             // Stream ended before the buffer filled: resolve now so that the
@@ -2159,6 +2177,22 @@ mod tests {
         let mut s = VasSampler::from_dataset(&d, VasConfig::new(100));
         let sample = s.sample_dataset(&d);
         assert_eq!(sample.len(), 10);
+    }
+
+    #[test]
+    fn sample_dataset_takes_epsilon_from_the_whole_dataset() {
+        // Trip-ordered data: the first K points span a small part of the
+        // extent, so an ε taken from them would differ from the paper's.
+        let d = GeolifeGenerator::with_size(3_000, 17).generate();
+        for k in [1usize, 150, 3_000, 5_000] {
+            let a = VasSampler::new(VasConfig::new(k)).sample_dataset(&d);
+            let b = VasSampler::from_dataset(&d, VasConfig::new(k)).sample_dataset(&d);
+            assert_eq!(a.points.len(), b.points.len(), "k {k}");
+            for (p, q) in a.points.iter().zip(&b.points) {
+                let bits = |p: &Point| [p.x.to_bits(), p.y.to_bits(), p.value.to_bits()];
+                assert_eq!(bits(p), bits(q), "k {k}");
+            }
+        }
     }
 
     #[test]

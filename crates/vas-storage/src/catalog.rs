@@ -30,17 +30,30 @@ impl SampleCatalog {
     /// Builds a catalog by running `sampler_factory(k)` for every size in
     /// `sizes` over the same dataset. The factory lets callers choose the
     /// method (uniform, stratified, VAS) and per-size configuration.
+    ///
+    /// The rungs are independent, so each runs on a scoped worker of its
+    /// own ([`vas_par::par_map_vec_ordered_recorded`], one range per rung;
+    /// the calling thread takes the first rung, so a one-rung ladder spawns
+    /// nothing). The factory is still called on the calling thread **in
+    /// `sizes` order**, so a stateful factory (seeding, say) sees the same
+    /// call sequence as a one-by-one loop, and the samples are inserted in
+    /// `sizes` order: the catalog is bit-identical to running the rungs one
+    /// after another. A panic in any rung propagates to the caller after
+    /// every worker has joined.
     pub fn build<S, F>(dataset: &Dataset, sizes: &[usize], sampler_factory: F) -> Self
     where
-        S: Sampler,
+        S: Sampler + Send,
         F: FnMut(usize) -> S,
     {
         Self::build_recorded(dataset, sizes, sampler_factory, &Recorder::detached())
     }
 
-    /// [`build`](Self::build) with a [`Recorder`]: each per-size run counts
-    /// into `storage_catalog_samples_built` and, with timing enabled, feeds
-    /// its wall-clock into the `catalog_build` phase histogram.
+    /// [`build`](Self::build) with a [`Recorder`]: the fan-out counts its
+    /// workers into `par_tasks_executed`, and each rung opens one
+    /// `catalog_build` span (attribute `k`) parented under the caller's open
+    /// span, counts into `storage_catalog_samples_built` and, with timing
+    /// enabled, feeds its wall-clock into the `catalog_build` phase
+    /// histogram.
     pub fn build_recorded<S, F>(
         dataset: &Dataset,
         sizes: &[usize],
@@ -48,80 +61,22 @@ impl SampleCatalog {
         recorder: &Recorder,
     ) -> Self
     where
-        S: Sampler,
-        F: FnMut(usize) -> S,
-    {
-        let mut catalog = Self::new();
-        for &k in sizes {
-            let mut sampler = sampler_factory(k);
-            let started = recorder.timing_enabled().then(Instant::now);
-            let sample = {
-                let mut span = recorder.span("catalog_build");
-                span.attr("k", k);
-                sampler.sample_dataset(dataset)
-            };
-            if let Some(t0) = started {
-                recorder.record_phase_ns(Phase::CatalogBuild, t0.elapsed().as_nanos() as u64);
-            }
-            recorder.inc(Counter::StorageCatalogSamplesBuilt, 1);
-            catalog.insert(sample);
-        }
-        catalog
-    }
-
-    /// [`build`](Self::build) with the per-size sampler runs fanned out over
-    /// `threads` scoped workers (`0` = available parallelism).
-    ///
-    /// The samplers are constructed by `sampler_factory` on the calling
-    /// thread **in `sizes` order** (so a stateful factory — seeding, say —
-    /// behaves exactly as in the sequential build), each worker runs one
-    /// sampler over the shared dataset, and the finished samples are
-    /// inserted in `sizes` order — the ordered-index reduction that makes
-    /// the catalog bit-identical to the sequential build at any thread
-    /// count. Sampler runs over the same dataset are independent, so the
-    /// ladder build scales with its size count.
-    pub fn build_parallel<S, F>(
-        dataset: &Dataset,
-        sizes: &[usize],
-        sampler_factory: F,
-        threads: usize,
-    ) -> Self
-    where
-        S: Sampler + Send,
-        F: FnMut(usize) -> S,
-    {
-        Self::build_parallel_recorded(
-            dataset,
-            sizes,
-            sampler_factory,
-            threads,
-            &Recorder::detached(),
-        )
-    }
-
-    /// [`build_parallel`](Self::build_parallel) with a [`Recorder`]: the
-    /// fan-out counts worker tasks into the registry
-    /// ([`vas_par::par_map_vec_ordered_recorded`]), each per-size run counts
-    /// into `storage_catalog_samples_built` and, with timing enabled, feeds
-    /// the `catalog_build` phase histogram.
-    pub fn build_parallel_recorded<S, F>(
-        dataset: &Dataset,
-        sizes: &[usize],
-        mut sampler_factory: F,
-        threads: usize,
-        recorder: &Recorder,
-    ) -> Self
-    where
         S: Sampler + Send,
         F: FnMut(usize) -> S,
     {
         let samplers: Vec<S> = sizes.iter().map(|&k| sampler_factory(k)).collect();
-        let samples =
-            vas_par::par_map_vec_ordered_recorded(recorder, threads, samplers, |i, mut sampler| {
+        // Captured here so the spans of rungs on spawned workers parent
+        // under the caller's span rather than float as roots.
+        let parent = recorder.current_ctx();
+        let samples = vas_par::par_map_vec_ordered_recorded(
+            recorder,
+            sizes.len().max(1),
+            samplers,
+            |i, mut sampler| {
                 let started = recorder.timing_enabled().then(Instant::now);
                 let sample = {
-                    let mut span = recorder.span("catalog_build");
-                    span.attr("size_index", i);
+                    let mut span = recorder.span_under("catalog_build", parent);
+                    span.attr("k", sizes[i]);
                     sampler.sample_dataset(dataset)
                 };
                 if let Some(t0) = started {
@@ -129,7 +84,8 @@ impl SampleCatalog {
                 }
                 recorder.inc(Counter::StorageCatalogSamplesBuilt, 1);
                 sample
-            });
+            },
+        );
         let mut catalog = Self::new();
         for sample in samples {
             catalog.insert(sample);
@@ -266,21 +222,23 @@ mod tests {
 
     #[test]
     fn parallel_build_is_bit_identical_to_sequential() {
+        // Four rungs, so more workers than a two-core machine has cores.
         let d = dataset();
         let sizes = [100usize, 400, 1_000, 2_500];
-        let sequential = SampleCatalog::build(&d, &sizes, |k| UniformSampler::new(k, 42));
-        for threads in [1usize, 2, 4] {
-            let parallel =
-                SampleCatalog::build_parallel(&d, &sizes, |k| UniformSampler::new(k, 42), threads);
-            assert_eq!(parallel.sizes(), sequential.sizes(), "threads {threads}");
-            for (a, b) in parallel.samples().iter().zip(sequential.samples()) {
-                assert_eq!(a.method, b.method);
-                assert_eq!(a.points.len(), b.points.len());
-                for (p, q) in a.points.iter().zip(&b.points) {
-                    assert_eq!(p.x.to_bits(), q.x.to_bits(), "threads {threads}");
-                    assert_eq!(p.y.to_bits(), q.y.to_bits(), "threads {threads}");
-                    assert_eq!(p.value.to_bits(), q.value.to_bits(), "threads {threads}");
-                }
+        let parallel = SampleCatalog::build(&d, &sizes, |k| UniformSampler::new(k, 42));
+        let sequential: Vec<Sample> = sizes
+            .iter()
+            .map(|&k| UniformSampler::new(k, 42).sample_dataset(&d))
+            .collect();
+        assert_eq!(parallel.sizes(), sizes);
+        for (a, b) in parallel.samples().iter().zip(&sequential) {
+            assert_eq!(a.method, b.method);
+            assert_eq!(a.target_size, b.target_size);
+            assert_eq!(a.points.len(), b.points.len());
+            for (p, q) in a.points.iter().zip(&b.points) {
+                assert_eq!(p.x.to_bits(), q.x.to_bits(), "k {}", a.target_size);
+                assert_eq!(p.y.to_bits(), q.y.to_bits(), "k {}", a.target_size);
+                assert_eq!(p.value.to_bits(), q.value.to_bits(), "k {}", a.target_size);
             }
         }
     }
@@ -290,49 +248,62 @@ mod tests {
         use std::sync::Arc;
         let d = dataset();
         let sizes = [100usize, 400, 1_000];
-        let recorder = Recorder::new(Arc::new(vas_obs::MetricsRegistry::new())).with_timing(true);
-        let sequential =
+        let tracer = Arc::new(vas_obs::Tracer::new());
+        let recorder = Recorder::new(Arc::new(vas_obs::MetricsRegistry::new()))
+            .with_timing(true)
+            .with_tracer(Arc::clone(&tracer));
+        let caller = recorder.span("caller");
+        let caller_id = recorder
+            .current_ctx()
+            .expect("caller span is open")
+            .span_id();
+        let catalog =
             SampleCatalog::build_recorded(&d, &sizes, |k| UniformSampler::new(k, 42), &recorder);
+        drop(caller);
+        assert_eq!(catalog.sizes(), sizes);
         assert_eq!(
             recorder.registry().get(Counter::StorageCatalogSamplesBuilt),
-            3
+            sizes.len() as u64
         );
+        assert_eq!(recorder.registry().get(Counter::ParTasksExecuted), 3);
         let snap = recorder.registry().snapshot();
         assert_eq!(snap.phase_calls(Phase::CatalogBuild), 3);
 
-        let parallel = SampleCatalog::build_parallel_recorded(
-            &d,
-            &sizes,
-            |k| UniformSampler::new(k, 42),
-            4,
-            &recorder,
-        );
-        assert_eq!(
-            recorder.registry().get(Counter::StorageCatalogSamplesBuilt),
-            6
-        );
-        assert!(recorder.registry().get(Counter::ParTasksExecuted) > 0);
-        for (a, b) in parallel.samples().iter().zip(sequential.samples()) {
-            assert_eq!(a.points.len(), b.points.len());
-        }
+        // One `catalog_build` span per rung, each tagged with its `k` and
+        // parented under the caller's span whichever thread ran it.
+        let spans = tracer.spans();
+        let mut ks: Vec<String> = spans
+            .iter()
+            .filter(|s| s.name == "catalog_build")
+            .map(|s| {
+                assert_eq!(s.parent, Some(caller_id), "{s:?}");
+                let attr = |key: &str| s.attrs.iter().find(|(k, _)| k == key);
+                attr("k").expect("k attribute").1.clone()
+            })
+            .collect();
+        ks.sort_by_key(|k| k.parse::<usize>().unwrap());
+        assert_eq!(ks, ["100", "400", "1000"]);
     }
 
     #[test]
     fn parallel_build_calls_the_factory_in_sizes_order() {
         // Stateful factories (e.g. deriving per-size seeds from a counter)
-        // must observe the same call sequence as the sequential build.
+        // must observe the same call sequence as a one-by-one loop.
         let d = dataset();
         let mut calls = Vec::new();
-        let _ = SampleCatalog::build_parallel(
-            &d,
-            &[500, 100, 300],
-            |k| {
-                calls.push(k);
-                UniformSampler::new(k, 1)
-            },
-            4,
-        );
+        let _ = SampleCatalog::build(&d, &[500, 100, 300], |k| {
+            calls.push(k);
+            UniformSampler::new(k, 1)
+        });
         assert_eq!(calls, vec![500, 100, 300]);
+    }
+
+    #[test]
+    fn empty_and_one_rung_ladders() {
+        let d = dataset();
+        assert!(SampleCatalog::build(&d, &[], |k| UniformSampler::new(k, 1)).is_empty());
+        let one = SampleCatalog::build(&d, &[250], |k| UniformSampler::new(k, 1));
+        assert_eq!(one.sizes(), vec![250]);
     }
 
     #[test]

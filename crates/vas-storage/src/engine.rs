@@ -162,6 +162,12 @@ impl VizEngine {
     /// Builds the offline sample catalog for a projection of a registered
     /// table — the paper's index-construction step. `sizes` is the ladder of
     /// sample sizes to materialize and `sampler_factory` chooses the method.
+    ///
+    /// The rungs are built concurrently, one scoped worker per rung
+    /// ([`SampleCatalog::build`]); the factory runs on the calling thread in
+    /// `sizes` order, and the stored catalog is bit-identical to building
+    /// the rungs one after another. If a rung panics, the panic reaches the
+    /// caller after every worker has joined and no catalog is stored.
     pub fn build_catalog<S, F>(
         &self,
         table: &str,
@@ -172,38 +178,11 @@ impl VizEngine {
         sampler_factory: F,
     ) -> Result<(), EngineError>
     where
-        S: Sampler,
-        F: FnMut(usize) -> S,
-    {
-        let dataset = self.projected_dataset(table, x_col, y_col, value_col)?;
-        let catalog = SampleCatalog::build(&dataset, sizes, sampler_factory);
-        self.catalogs
-            .write()
-            .insert(Self::projection_key(table, x_col, y_col), catalog);
-        Ok(())
-    }
-
-    /// [`build_catalog`](Self::build_catalog) with the per-size sampler runs
-    /// fanned out over `threads` scoped workers
-    /// ([`SampleCatalog::build_parallel`]); the stored catalog is
-    /// bit-identical to the sequential build at any thread count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_catalog_parallel<S, F>(
-        &self,
-        table: &str,
-        x_col: &str,
-        y_col: &str,
-        value_col: Option<&str>,
-        sizes: &[usize],
-        sampler_factory: F,
-        threads: usize,
-    ) -> Result<(), EngineError>
-    where
         S: Sampler + Send,
         F: FnMut(usize) -> S,
     {
         let dataset = self.projected_dataset(table, x_col, y_col, value_col)?;
-        let catalog = SampleCatalog::build_parallel(&dataset, sizes, sampler_factory, threads);
+        let catalog = SampleCatalog::build(&dataset, sizes, sampler_factory);
         self.catalogs
             .write()
             .insert(Self::projection_key(table, x_col, y_col), catalog);
@@ -354,42 +333,80 @@ mod tests {
     }
 
     #[test]
-    fn parallel_catalog_build_matches_sequential() {
-        let e = engine();
-        e.build_catalog(&table_name(), "x", "y", Some("value"), &[100, 500], |k| {
-            UniformSampler::new(k, 5)
-        })
-        .unwrap();
-        let sequential = e
-            .query(&VizQuery::full(table_name()).with_budget(500))
-            .unwrap();
-        e.build_catalog_parallel(
-            &table_name(),
-            "x",
-            "y",
-            Some("value"),
-            &[100, 500],
-            |k| UniformSampler::new(k, 5),
-            4,
-        )
-        .unwrap();
-        let parallel = e
-            .query(&VizQuery::full(table_name()).with_budget(500))
-            .unwrap();
-        assert_eq!(parallel.points, sequential.points);
-        assert!(matches!(
-            e.build_catalog_parallel(
-                &table_name(),
-                "x",
-                "bogus",
-                None,
-                &[10],
-                |k| UniformSampler::new(k, 0),
-                2,
-            )
-            .unwrap_err(),
-            EngineError::UnknownColumn(_)
-        ));
+    fn a_panicking_rung_reaches_the_caller_after_every_worker_joined() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::{Arc, Condvar, Mutex, PoisonError};
+        use std::time::Duration;
+        use vas_sampling::Sample;
+
+        /// Set while the failing rung unwinds.
+        type Gate = Arc<(Mutex<bool>, Condvar)>;
+        struct OpenOnDrop(Gate);
+        impl Drop for OpenOnDrop {
+            fn drop(&mut self) {
+                let (open, changed) = &*self.0;
+                *open.lock().unwrap_or_else(PoisonError::into_inner) = true;
+                changed.notify_all();
+            }
+        }
+
+        /// Keeps nothing. The rung of size `panic_k` panics on its first
+        /// point; every other rung finishes only once that panic is
+        /// unwinding, and counts itself in `finished`.
+        struct Rung {
+            k: usize,
+            panic_k: usize,
+            gate: Gate,
+            finished: Arc<AtomicUsize>,
+        }
+        impl Sampler for Rung {
+            fn name(&self) -> &str {
+                "rung"
+            }
+            fn target_size(&self) -> usize {
+                self.k
+            }
+            fn observe(&mut self, _: Point) {
+                if self.k == self.panic_k {
+                    let _unwinding = OpenOnDrop(Arc::clone(&self.gate));
+                    panic!("rung {} fails", self.k);
+                }
+            }
+            fn finalize(&mut self) -> Sample {
+                // Bounded, so a build that ran the rungs one by one fails
+                // the count below instead of hanging.
+                let (open, changed) = &*self.gate;
+                let guard = open.lock().unwrap_or_else(PoisonError::into_inner);
+                let (guard, _) = changed
+                    .wait_timeout_while(guard, Duration::from_secs(10), |open| !*open)
+                    .unwrap_or_else(PoisonError::into_inner);
+                if *guard {
+                    self.finished.fetch_add(1, Ordering::SeqCst);
+                }
+                Sample::new("rung", self.k, Vec::new())
+            }
+        }
+
+        let sizes = [10usize, 20, 30];
+        // The first rung runs on the calling thread, the others on spawned
+        // workers: a panic on either side must wait for the rest.
+        for panic_k in [10usize, 30] {
+            let e = engine();
+            let gate: Gate = Arc::default();
+            let finished = Arc::new(AtomicUsize::new(0));
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                e.build_catalog(&table_name(), "x", "y", None, &sizes, |k| Rung {
+                    k,
+                    panic_k,
+                    gate: Arc::clone(&gate),
+                    finished: Arc::clone(&finished),
+                })
+            }));
+            assert!(result.is_err(), "panic in rung {panic_k} was swallowed");
+            assert_eq!(finished.load(Ordering::SeqCst), sizes.len() - 1);
+            assert!(e.catalog_sizes(&table_name(), "x", "y").is_empty());
+        }
     }
 
     #[test]

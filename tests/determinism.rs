@@ -395,6 +395,70 @@ fn density_embedding_is_deterministic() {
     }
 }
 
+/// A VAS rung that embeds density counters into its sample, so a ladder
+/// can be compared on densities as well as points.
+struct DensityVas(VasSampler);
+
+impl Sampler for DensityVas {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn target_size(&self) -> usize {
+        self.0.target_size()
+    }
+    fn observe(&mut self, point: Point) {
+        self.0.observe(point);
+    }
+    fn finalize(&mut self) -> Sample {
+        self.0.finalize()
+    }
+    fn sample_dataset(&mut self, dataset: &Dataset) -> Sample {
+        with_embedded_density(self.0.sample_dataset(dataset), dataset)
+    }
+}
+
+#[test]
+fn catalog_ladder_is_bit_identical_to_building_each_rung_in_turn() {
+    // `VizEngine::build_catalog` runs each rung on a worker of its own, and
+    // this ladder has more rungs than a two-core machine has cores. Every
+    // rung must equal the same sampler run alone over the table's
+    // projection, in points and in densities.
+    let data = GeolifeGenerator::with_size(10_000, 41).generate();
+    let sizes = [150usize, 400, 700];
+    let mut engine = VizEngine::new();
+    engine.register_table(Table::from_dataset(&data));
+    let projected =
+        engine
+            .table(&data.name)
+            .expect("registered")
+            .to_dataset("x", "y", Some("value"));
+    let rung = |k| VasSampler::new(VasConfig::new(k));
+    let sequential: Vec<Sample> = sizes
+        .iter()
+        .map(|&k| DensityVas(rung(k)).sample_dataset(&projected))
+        .collect();
+
+    engine
+        .build_catalog(&data.name, "x", "y", Some("value"), &sizes, rung)
+        .unwrap();
+    assert_eq!(engine.catalog_sizes(&data.name, "x", "y"), sizes);
+    for (&k, expected) in sizes.iter().zip(&sequential) {
+        let view = engine
+            .query(&VizQuery::full(data.name.clone()).with_budget(k))
+            .unwrap();
+        assert_points_bitwise_equal(&view.points, &expected.points, &format!("engine rung {k}"));
+    }
+
+    // The engine's catalog path with densities embedded per rung.
+    let catalog = SampleCatalog::build(&projected, &sizes, |k| DensityVas(rung(k)));
+    for (got, expected) in catalog.samples().iter().zip(&sequential) {
+        let what = format!("catalog rung {}", expected.target_size);
+        assert_points_bitwise_equal(&got.points, &expected.points, &what);
+        assert!(expected.densities.is_some(), "{what}: no densities");
+        assert_eq!(got.densities, expected.densities, "{what}: densities");
+    }
+}
+
 #[test]
 fn kill_and_resume_is_bit_identical_per_backend_and_thread_count() {
     // The PR 7 contract: a streaming build killed at *any* chunk boundary
