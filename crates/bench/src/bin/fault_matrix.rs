@@ -1,7 +1,7 @@
 //! The fault matrix: every recovery claim in the failure model, exercised
 //! end-to-end with deterministic injected faults.
 //!
-//! Four scenario families, all seeded and bit-reproducible:
+//! Three scenario families, all seeded and bit-reproducible:
 //!
 //! 1. **Transient I/O** — a seeded [`FaultInjectorSource`] makes chunk reads
 //!    fail transiently mid-build; [`RetryingSource`] must absorb every one
@@ -12,12 +12,9 @@
 //!    must fail the per-chunk CRC with a hard error under the default
 //!    policy, and under the opt-in [`CorruptionPolicy::SkipChunks`] must be
 //!    skipped, reported, and leave the remainder readable.
-//! 3. **Crash recovery** — for every locality backend and worker thread
-//!    count, a build killed at a chunk boundary and resumed from its
-//!    `.vascheckpt` must reproduce the uninterrupted sample bit for bit.
-//! 4. **Worker panic** — a panic injected into a speculative pre-evaluation
-//!    worker must be contained (the build completes, sequentially re-running
-//!    the poisoned batch), counted, and must not change a single sample bit.
+//! 3. **Crash recovery** — for every locality backend, a build killed at a
+//!    chunk boundary and resumed from its `.vascheckpt` must reproduce the
+//!    uninterrupted sample bit for bit.
 //!
 //! Output: a table on stdout plus machine-readable
 //! `results/BENCH_faults.json` whose boolean gates CI greps. Exits non-zero
@@ -28,9 +25,12 @@
 //! fault_matrix [--smoke] [--n <points>] [--k <K>] [--chunk-size <points>] [--obs]
 //! ```
 //!
-//! With `--obs` a fifth scenario runs the fault path fully instrumented:
+//! With `--obs` a fourth scenario runs the fault path fully instrumented:
 //! a retried build with counters + timers + journal + spans + flight ring
-//! attached must stay bit-identical and yield a valid causal trace, and a
+//! attached must stay bit-identical and yield a valid causal trace (the
+//! build runs as a one-shard `ShardedSampler`, bit-identical to the
+//! unsharded build, whose shard worker records a `worker_task` span on its
+//! own thread), and a
 //! fatal injected fault must fire the flight recorder's post-mortem dump.
 //! The summary lands in an `obs` section of `BENCH_faults.json`.
 
@@ -38,7 +38,9 @@ use bench::obs::{validate_build_trace, ObsBundle};
 use bench::{bitwise_eq, display_path, emit, results_dir, ReportTable};
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
-use vas_core::{BuildOutcome, CheckpointPolicy, LocalityBackend, VasConfig, VasSampler};
+use vas_core::{
+    BuildOutcome, CheckpointPolicy, LocalityBackend, ShardedSampler, VasConfig, VasSampler,
+};
 use vas_data::GeolifeGenerator;
 use vas_sampling::Sample;
 use vas_stream::{
@@ -52,7 +54,6 @@ const SEED: u64 = 20_160_519;
 #[derive(Debug, Clone, Serialize)]
 struct RecoveryCell {
     backend: String,
-    threads: usize,
     killed_after_chunks: u64,
     bit_identical: bool,
 }
@@ -73,12 +74,9 @@ struct FaultReport {
     // Scenario 2: CRC detection + degraded skip mode.
     crc_detected: bool,
     crc_skip_mode_reports: bool,
-    // Scenario 3: kill-and-resume, per backend × thread count.
+    // Scenario 3: kill-and-resume, per backend.
     recovery_cells: Vec<RecoveryCell>,
     recovery_bit_identical: bool,
-    // Scenario 4: speculation worker panic containment.
-    contained_worker_panics: u64,
-    panic_contained: bool,
     all_passed: bool,
 }
 
@@ -213,102 +211,62 @@ fn run_corruption_scenario(spill: &Path, corrupt_copy: &Path, n: usize) -> (bool
 }
 
 /// Scenario 3: kill at a chunk boundary, resume from the checkpoint, compare
-/// every bit — per backend, per thread count.
-fn run_recovery_scenario(
-    spill: &Path,
-    k: usize,
-    kill_points: &[u64],
-    threads_sweep: &[usize],
-) -> (Vec<RecoveryCell>, bool) {
+/// every bit — per backend.
+fn run_recovery_scenario(spill: &Path, k: usize, kill_points: &[u64]) -> (Vec<RecoveryCell>, bool) {
     let mut cells = Vec::new();
     let mut all = true;
     for backend in LocalityBackend::ALL {
-        let base = VasConfig::new(k).with_locality_backend(backend);
-        let reference = build_clean(spill, &base);
-        for &threads in threads_sweep {
-            let config = base.clone().with_threads(threads);
-            for &kill_after in kill_points {
-                let ckpt = results_dir().join(format!(
-                    "fault_matrix_{backend}_{threads}_{kill_after}.vascheckpt"
-                ));
-                let policy = CheckpointPolicy::every(&ckpt, 1).halting_after(kill_after);
+        let config = VasConfig::new(k).with_locality_backend(backend);
+        let reference = build_clean(spill, &config);
+        for &kill_after in kill_points {
+            let ckpt =
+                results_dir().join(format!("fault_matrix_{backend}_{kill_after}.vascheckpt"));
+            let policy = CheckpointPolicy::every(&ckpt, 1).halting_after(kill_after);
+            let mut reader = ChunkedReader::open(spill).expect("open spill");
+            let outcome = VasSampler::new(config.clone())
+                .build_from_source_checkpointed(&mut reader, &policy)
+                .expect("checkpointed build");
+            let mut ok = matches!(outcome, BuildOutcome::Halted { .. });
+            if !ok {
+                eprintln!(
+                    "[fault_matrix] FAIL: kill switch never fired ({backend}, kill {kill_after})"
+                );
+            } else {
+                let resume_policy = CheckpointPolicy::every(&ckpt, 1);
                 let mut reader = ChunkedReader::open(spill).expect("open spill");
-                let outcome = VasSampler::new(config.clone())
-                    .build_from_source_checkpointed(&mut reader, &policy)
-                    .expect("checkpointed build");
-                let mut ok = matches!(outcome, BuildOutcome::Halted { .. });
+                let (_, outcome) = VasSampler::resume_build_from_source(
+                    config.clone(),
+                    &mut reader,
+                    &resume_policy,
+                )
+                .expect("resume");
+                let resumed = outcome.into_sample().expect("resumed build completes");
+                ok = bitwise_eq(&resumed.points, &reference.points);
                 if !ok {
                     eprintln!(
-                        "[fault_matrix] FAIL: kill switch never fired ({backend}, \
-                         {threads} threads, kill {kill_after})"
+                        "[fault_matrix] FAIL: resumed sample diverged ({backend}, \
+                         kill {kill_after})"
                     );
-                } else {
-                    let resume_policy = CheckpointPolicy::every(&ckpt, 1);
-                    let mut reader = ChunkedReader::open(spill).expect("open spill");
-                    let (_, outcome) = VasSampler::resume_build_from_source(
-                        config.clone(),
-                        &mut reader,
-                        &resume_policy,
-                    )
-                    .expect("resume");
-                    let resumed = outcome.into_sample().expect("resumed build completes");
-                    ok = bitwise_eq(&resumed.points, &reference.points);
-                    if !ok {
-                        eprintln!(
-                            "[fault_matrix] FAIL: resumed sample diverged ({backend}, \
-                             {threads} threads, kill {kill_after})"
-                        );
-                    }
                 }
-                std::fs::remove_file(&ckpt).ok();
-                all &= ok;
-                cells.push(RecoveryCell {
-                    backend: backend.to_string(),
-                    threads,
-                    killed_after_chunks: kill_after,
-                    bit_identical: ok,
-                });
             }
+            std::fs::remove_file(&ckpt).ok();
+            all &= ok;
+            cells.push(RecoveryCell {
+                backend: backend.to_string(),
+                killed_after_chunks: kill_after,
+                bit_identical: ok,
+            });
         }
     }
     (cells, all)
 }
 
-/// Scenario 4: a panic injected into the first speculative batch must be
-/// contained without changing the sample.
-fn run_panic_scenario(spill: &Path, config: &VasConfig, reference: &Sample) -> (u64, bool) {
-    let mut sampler = VasSampler::new(config.clone().with_injected_speculation_panic(0));
-    // The injected panic is expected; silence its default stderr report so
-    // the harness log stays readable. Containment shows in the counter.
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let mut reader = ChunkedReader::open(spill).expect("open spill");
-    let result = sampler.build_from_source(&mut reader);
-    std::panic::set_hook(prev);
-    let contained = sampler.contained_worker_panics();
-    match result {
-        Ok(sample) => {
-            let identical = bitwise_eq(&sample.points, &reference.points);
-            if contained == 0 {
-                eprintln!("[fault_matrix] FAIL: the injected panic never fired");
-            }
-            if !identical {
-                eprintln!("[fault_matrix] FAIL: containment changed the sample bits");
-            }
-            (contained, contained >= 1 && identical)
-        }
-        Err(e) => {
-            eprintln!("[fault_matrix] FAIL: panic containment build errored: {e}");
-            (contained, false)
-        }
-    }
-}
-
-/// Scenario 5 (`--obs`): the fully instrumented fault path. A retried build
-/// with the whole observability stack attached must stay bit-identical and
-/// yield a valid causal trace, and a fatal injected fault must make the
-/// flight recorder write its post-mortem dump. Returns the `obs` section for
-/// `BENCH_faults.json` and the pass flag.
+/// Scenario 4 (`--obs`): the fully instrumented fault path. A retried
+/// one-shard build with the whole observability stack attached must stay
+/// bit-identical to the unsharded reference and yield a valid causal
+/// trace, and a fatal injected fault must make the flight recorder write
+/// its post-mortem dump. Returns the `obs` section for `BENCH_faults.json`
+/// and the pass flag.
 fn run_obs_scenario(spill: &Path, config: &VasConfig, reference: &Sample) -> (Value, bool) {
     let bundle = ObsBundle::new();
     let dump_path = results_dir().join("flight_fault_matrix.jsonl");
@@ -322,9 +280,9 @@ fn run_obs_scenario(spill: &Path, config: &VasConfig, reference: &Sample) -> (Va
     let injector = FaultInjectorSource::new(reader, FaultPlan::transient(SEED, 3, 2));
     let mut source = RetryingSource::new(injector, RetryPolicy::immediate(5))
         .with_recorder(bundle.recorder.clone());
-    let result = VasSampler::new(config.clone())
+    let result = ShardedSampler::new(config.clone(), 1)
         .with_recorder(bundle.recorder.clone())
-        .build_from_source(&mut source);
+        .build_sharded_from_source(&mut source);
     let bit_identical = match result {
         Ok(sample) => {
             let identical = bitwise_eq(&sample.points, &reference.points);
@@ -455,29 +413,12 @@ fn main() {
 
     eprintln!("[fault_matrix] scenario 3: kill-and-resume per backend");
     let kill_points: &[u64] = if smoke { &[2, 5] } else { &[2, 5, 11] };
-    let (recovery_cells, recovery_bit_identical) =
-        run_recovery_scenario(&spill, k, kill_points, &[1, 2, 4]);
+    let (recovery_cells, recovery_bit_identical) = run_recovery_scenario(&spill, k, kill_points);
 
-    eprintln!("[fault_matrix] scenario 4: speculation worker panic containment");
-    let parallel_reference = {
-        let mut reader = ChunkedReader::open(&spill).expect("open spill");
-        VasSampler::new(base.clone().with_threads(2))
-            .build_from_source(&mut reader)
-            .expect("parallel reference build")
-    };
-    let (contained, panic_contained) =
-        run_panic_scenario(&spill, &base.clone().with_threads(2), &parallel_reference);
-
-    // Scenario 5 (`--obs`): the instrumented fault path + flight recorder.
-    // Uses threads = 2 so the trace carries cross-thread worker spans, and
-    // the parallel reference for the bit-identity check.
+    // Scenario 4 (`--obs`): the instrumented fault path + flight recorder.
     let obs_result = if obs {
-        eprintln!("[fault_matrix] scenario 5: instrumented faults + flight recorder");
-        Some(run_obs_scenario(
-            &spill,
-            &base.clone().with_threads(2),
-            &parallel_reference,
-        ))
+        eprintln!("[fault_matrix] scenario 4: instrumented faults + flight recorder");
+        Some(run_obs_scenario(&spill, &base, &reference))
     } else {
         None
     };
@@ -490,7 +431,6 @@ fn main() {
         && crc_detected
         && crc_skip_mode_reports
         && recovery_bit_identical
-        && panic_contained
         && obs_passed;
 
     let mut table = ReportTable::new(
@@ -520,16 +460,8 @@ fn main() {
     ]);
     table.push_row(vec![
         "kill-and-resume".into(),
-        format!(
-            "{} cells (backend x threads x kill point)",
-            recovery_cells.len()
-        ),
+        format!("{} cells (backend x kill point)", recovery_cells.len()),
         yn(recovery_bit_identical),
-    ]);
-    table.push_row(vec![
-        "panic containment".into(),
-        format!("{contained} contained worker panic(s)"),
-        yn(panic_contained),
     ]);
     if obs_result.is_some() {
         table.push_row(vec![
@@ -555,8 +487,6 @@ fn main() {
         crc_skip_mode_reports,
         recovery_cells,
         recovery_bit_identical,
-        contained_worker_panics: contained,
-        panic_contained,
         all_passed,
     };
     let path = results_dir().join("BENCH_faults.json");

@@ -23,13 +23,12 @@
 //! `build()` over it — the same contract `tests/determinism.rs` pins,
 //! re-checked here on every CI run.
 //!
-//! With `--threads t1,t2,...` the run becomes a **parallel sweep**: for each
-//! thread count the sampler phase runs twice — speculative pre-evaluation
-//! alone, and combined with `PrefetchSource` chunk read-ahead — and the loss
-//! estimator's M-probe loop is swept separately. Every run's sample must be
-//! bit-identical to the `threads = 1` baseline (the binary exits non-zero on
-//! the first divergence), and the per-phase timings land in a
-//! `geolife_scale` section of `results/BENCH_parallel.json`.
+//! With `--threads t1,t2,...` the run becomes a **parallel sweep**: the
+//! sampler phase runs once sequentially and once behind `PrefetchSource`
+//! chunk read-ahead, and the loss estimator's M-probe loop runs at each
+//! thread count. Every run's output must be bit-identical to the baseline
+//! (the binary exits non-zero on the first divergence), and the timings
+//! land in a `geolife_scale` section of `results/BENCH_parallel.json`.
 //!
 //! Output: a human-readable table on stdout plus machine-readable
 //! `results/BENCH_streaming.json` (+ `BENCH_parallel.json` in sweep mode).
@@ -42,10 +41,13 @@
 //! * `--smoke`      — CI-sized run (60K points, K = 500) + in-memory
 //!   verification.
 //! * `--n`, `--k`, `--chunk-size` — override the workload shape.
-//! * `--threads`    — comma-separated thread counts to sweep (e.g. `1,2,4`).
+//! * `--threads`    — comma-separated loss-estimator thread counts to sweep
+//!   (e.g. `1,2,4`).
 //! * `--keep-spill` — leave the spill file on disk for inspection.
 //! * `--obs`        — add a fully instrumented pass (counters + timers +
-//!   journal + spans + flight ring) over the same spill, assert it
+//!   journal + spans + flight ring) over the same spill, with read-ahead on
+//!   and the build run as a one-shard `ShardedSampler` (bit-identical to the
+//!   unsharded build; its shard worker runs on its own thread), assert it
 //!   bit-identical to the baseline, export a validated Chrome-trace
 //!   artifact, and graft an `obs` section onto `BENCH_streaming.json`.
 
@@ -57,7 +59,7 @@ use bench::{
 use serde::{Serialize, Value};
 use std::path::Path;
 use std::time::Instant;
-use vas_core::{GaussianKernel, Kernel, VasConfig, VasSampler};
+use vas_core::{GaussianKernel, Kernel, ShardedSampler, VasConfig, VasSampler};
 use vas_data::{GeolifeGenerator, Point};
 use vas_eval::{LossConfig, LossEstimator};
 use vas_obs::Recorder;
@@ -114,11 +116,10 @@ struct StreamingReport {
 /// One sampler-phase measurement of the parallel sweep.
 #[derive(Debug, Clone, Serialize)]
 struct SamplerSweepEntry {
-    threads: usize,
     prefetch: bool,
     secs: f64,
     tuples_per_sec: f64,
-    /// Throughput ratio against the `threads = 1`, no-prefetch baseline.
+    /// Throughput ratio against the baseline sampler run.
     speedup_vs_baseline: f64,
     peak_resident_points: u64,
 }
@@ -140,20 +141,18 @@ struct ParallelSection {
     chunk_size: usize,
     threads: Vec<usize>,
     prefetch_depth: usize,
-    /// Sampler phase, speculative pre-evaluation only (no prefetch).
-    pre_eval: Vec<SamplerSweepEntry>,
-    /// Sampler phase, pre-evaluation + chunk read-ahead. The `threads = 1`
-    /// entry isolates the prefetch stage's contribution.
-    prefetch: Vec<SamplerSweepEntry>,
-    /// Loss-estimator M-probe loop.
+    /// Sampler phase, sequential and behind chunk read-ahead.
+    sampler: Vec<SamplerSweepEntry>,
+    /// Loss-estimator M-probe loop, one entry per swept thread count.
     loss_estimator: Vec<LossSweepEntry>,
     /// Every sweep run produced a bit-identical sample.
     bit_identical: bool,
 }
 
-/// Streams the spill through the sampler once. `threads` drives the
-/// speculative pre-evaluation front; `prefetch` wraps the reader in the
-/// read-ahead stage; `recorder` instruments every stage (pass
+/// Streams the spill through the sampler once. `prefetch` wraps the reader
+/// in the read-ahead stage; `one_shard` runs the build as a one-shard
+/// `ShardedSampler` (bit-identical to the unsharded build, with the shard
+/// worker on its own thread); `recorder` instruments every stage (pass
 /// [`Recorder::detached`] for the measured runs). Returns the measured
 /// report and the sample points.
 fn run_sampler(
@@ -161,8 +160,8 @@ fn run_sampler(
     n: u64,
     k: usize,
     epsilon: f64,
-    threads: usize,
     prefetch: bool,
+    one_shard: bool,
     recorder: Recorder,
 ) -> (SamplerReport, Vec<Point>) {
     let reader = ChunkedReader::open(spill_path)
@@ -174,16 +173,18 @@ fn run_sampler(
         Box::new(reader)
     };
     let mut tracked = TrackingSource::new(source);
-    let mut sampler = VasSampler::new(
-        VasConfig::new(k)
-            .with_epsilon(epsilon)
-            .with_threads(threads),
-    )
-    .with_recorder(recorder);
+    let config = VasConfig::new(k).with_epsilon(epsilon);
     let start = Instant::now();
-    let sample = sampler
-        .build_from_source(&mut tracked)
-        .expect("streaming build");
+    let sample = if one_shard {
+        ShardedSampler::new(config, 1)
+            .with_recorder(recorder)
+            .build_sharded_from_source(&mut tracked)
+    } else {
+        VasSampler::new(config)
+            .with_recorder(recorder)
+            .build_from_source(&mut tracked)
+    }
+    .expect("streaming build");
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     // Resident chunk buffers: the consumer's one, plus (when prefetching)
     // the worker's in-flight chunk and the bounded channel's depth.
@@ -307,8 +308,15 @@ fn main() {
         GaussianKernel::for_bounds(&reader.header().bounds).bandwidth()
     };
     eprintln!("[geolife_scale] sampling: K = {k}, epsilon = {epsilon:.6}");
-    let (sampler_report, sample_points) =
-        run_sampler(&spill_path, n, k, epsilon, 1, false, Recorder::detached());
+    let (sampler_report, sample_points) = run_sampler(
+        &spill_path,
+        n,
+        k,
+        epsilon,
+        false,
+        false,
+        Recorder::detached(),
+    );
     eprintln!(
         "[geolife_scale] sampler: {} tuples/s over {} tuples",
         fmt3(sampler_report.tuples_per_sec),
@@ -353,14 +361,21 @@ fn main() {
 
     // ---- Observability pass (`--obs`): the fully instrumented pipeline
     // (counters + timers + journal + tracer + flight ring) over the same
-    // spill with the speculative front and read-ahead on, asserted
+    // spill with read-ahead on and a one-shard sharded build, asserted
     // bit-identical to the baseline sample and exporting a validated
     // Chrome-trace artifact. ----
     let obs_section = if obs {
-        eprintln!("[geolife_scale] obs: fully instrumented pass (threads = 2, prefetch on)");
+        eprintln!("[geolife_scale] obs: fully instrumented pass (one shard, prefetch on)");
         let bundle = ObsBundle::new();
-        let (obs_report, obs_points) =
-            run_sampler(&spill_path, n, k, epsilon, 2, true, bundle.recorder.clone());
+        let (obs_report, obs_points) = run_sampler(
+            &spill_path,
+            n,
+            k,
+            epsilon,
+            true,
+            true,
+            bundle.recorder.clone(),
+        );
         if !bitwise_eq(&obs_points, &sample_points) {
             eprintln!("[geolife_scale] FAIL: the instrumented pass diverged from the baseline");
             std::process::exit(1);
@@ -398,7 +413,7 @@ fn main() {
         None
     };
 
-    // ---- Parallel sweep: pre-eval, prefetch, loss estimator. ----
+    // ---- Parallel sweep: prefetch, loss estimator. ----
     if !threads_sweep.is_empty() {
         run_parallel_sweep(
             &spill_path,
@@ -433,9 +448,9 @@ fn main() {
     );
 }
 
-/// The `--threads` sweep: measures the sampler phase per thread count with
-/// and without read-ahead, and the loss estimator's probe loop, asserting
-/// every run bit-identical to the baseline sample. Exits non-zero on the
+/// The `--threads` sweep: measures the sampler phase with and without
+/// read-ahead, and the loss estimator's probe loop per thread count,
+/// asserting every run bit-identical to the baseline. Exits non-zero on the
 /// first divergence.
 #[allow(clippy::too_many_arguments)]
 fn run_parallel_sweep(
@@ -449,60 +464,45 @@ fn run_parallel_sweep(
     baseline: &SamplerReport,
     baseline_sample: &[Point],
 ) {
-    let mut pre_eval_entries = Vec::new();
-    let mut prefetch_entries = Vec::new();
+    let mut sampler_entries = Vec::new();
     let mut bit_identical = true;
     // The prefetch pipeline holds `depth + 2` chunk buffers; the combined
     // bound is the contract the sweep runs assert.
     let sweep_bound = (k + (DEFAULT_PREFETCH_DEPTH + 2 + 1) * chunk_size) as u64;
-    for &threads in threads_sweep {
-        for prefetch in [false, true] {
-            let label = if prefetch {
-                "pre-eval+prefetch"
-            } else {
-                "pre-eval"
-            };
-            eprintln!("[geolife_scale] sweep: {label}, threads = {threads}");
-            let (report, points) = run_sampler(
-                spill_path,
-                n,
-                k,
-                epsilon,
-                threads,
-                prefetch,
-                Recorder::detached(),
-            );
-            assert!(
-                report.peak_resident_points <= sweep_bound,
-                "sweep peak resident {} exceeded bound {sweep_bound}",
-                report.peak_resident_points
-            );
-            if !bitwise_eq(&points, baseline_sample) {
-                eprintln!(
-                    "[geolife_scale] FAIL: {label} at {threads} threads diverged from the \
-                     sequential sample"
-                );
-                bit_identical = false;
-            }
-            let entry = SamplerSweepEntry {
-                threads,
-                prefetch,
-                secs: report.secs,
-                tuples_per_sec: report.tuples_per_sec,
-                speedup_vs_baseline: report.tuples_per_sec / baseline.tuples_per_sec,
-                peak_resident_points: report.peak_resident_points,
-            };
-            eprintln!(
-                "[geolife_scale] sweep: {label} x{threads}: {} tuples/s ({:.2}x baseline)",
-                fmt3(entry.tuples_per_sec),
-                entry.speedup_vs_baseline
-            );
-            if prefetch {
-                prefetch_entries.push(entry);
-            } else {
-                pre_eval_entries.push(entry);
-            }
+    for prefetch in [false, true] {
+        let label = sampler_label(prefetch);
+        eprintln!("[geolife_scale] sweep: {label}");
+        let (report, points) = run_sampler(
+            spill_path,
+            n,
+            k,
+            epsilon,
+            prefetch,
+            false,
+            Recorder::detached(),
+        );
+        assert!(
+            report.peak_resident_points <= sweep_bound,
+            "sweep peak resident {} exceeded bound {sweep_bound}",
+            report.peak_resident_points
+        );
+        if !bitwise_eq(&points, baseline_sample) {
+            eprintln!("[geolife_scale] FAIL: {label} diverged from the baseline sample");
+            bit_identical = false;
         }
+        let entry = SamplerSweepEntry {
+            prefetch,
+            secs: report.secs,
+            tuples_per_sec: report.tuples_per_sec,
+            speedup_vs_baseline: report.tuples_per_sec / baseline.tuples_per_sec,
+            peak_resident_points: report.peak_resident_points,
+        };
+        eprintln!(
+            "[geolife_scale] sweep: {label}: {} tuples/s ({:.2}x baseline)",
+            fmt3(entry.tuples_per_sec),
+            entry.speedup_vs_baseline
+        );
+        sampler_entries.push(entry);
     }
 
     // Loss-estimator phase: the M-probe loop over a materialized subset
@@ -555,24 +555,24 @@ fn run_parallel_sweep(
         chunk_size,
         threads: threads_sweep.to_vec(),
         prefetch_depth: DEFAULT_PREFETCH_DEPTH,
-        pre_eval: pre_eval_entries.clone(),
-        prefetch: prefetch_entries.clone(),
+        sampler: sampler_entries.clone(),
         loss_estimator: loss_entries.clone(),
         bit_identical,
     };
     let mut table = ReportTable::new(
         format!("Parallel sweep (n = {n}, K = {k}, chunk = {chunk_size})"),
-        &["phase", "threads", "time (s)", "tuples/s", "speedup vs 1"],
+        &[
+            "phase",
+            "threads",
+            "time (s)",
+            "tuples/s",
+            "speedup vs baseline",
+        ],
     );
-    for e in pre_eval_entries.iter().chain(&prefetch_entries) {
+    for e in &sampler_entries {
         table.push_row(vec![
-            if e.prefetch {
-                "pre-eval+prefetch"
-            } else {
-                "pre-eval"
-            }
-            .to_string(),
-            e.threads.to_string(),
+            sampler_label(e.prefetch).to_string(),
+            "1".to_string(),
             fmt3(e.secs),
             fmt3(e.tuples_per_sec),
             format!("{:.2}x", e.speedup_vs_baseline),
@@ -598,6 +598,15 @@ fn run_parallel_sweep(
     eprintln!(
         "[geolife_scale] sweep: every parallel run reproduced the sequential sample bit-for-bit"
     );
+}
+
+/// Table label of a sampler-phase sweep row.
+fn sampler_label(prefetch: bool) -> &'static str {
+    if prefetch {
+        "sampler+prefetch"
+    } else {
+        "sampler"
+    }
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -127,7 +127,7 @@ impl Default for ObsBundle {
 pub struct TraceCheck {
     /// Total spans parsed from the trace.
     pub spans: usize,
-    /// `worker_task` spans (vas-par stripes and vas-core pre-eval workers).
+    /// `worker_task` spans (vas-par fan-out stripes and shard workers).
     pub worker_spans: usize,
     /// Distinct thread ids that recorded at least one span.
     pub threads: usize,

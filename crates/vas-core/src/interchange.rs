@@ -31,14 +31,8 @@
 //! interchangeable via [`VasConfig::with_locality_backend`], and
 //! [`VasSampler::with_index`] accepts any statically-typed backend.
 //!
-//! With [`VasConfig::with_threads`] above 1, the chunked entry points
-//! ([`VasSampler::observe_chunk`] and the `build*` drivers) run the
-//! locality strategy's candidate phase behind a **speculative kernel
-//! pre-evaluation** front: scoped workers compute each candidate's
-//! neighbourhood kernel sums against a sample-epoch snapshot, and the
-//! sequential accept/reject consumer replays them in stream order,
-//! recomputing only candidates invalidated by an accepted replacement —
-//! bit-identical to the sequential loop at every thread count.
+//! Interchange is one sequential hill climb: every entry point, chunked or
+//! point by point, runs the same fill/candidate loop on the calling thread.
 
 use crate::checkpoint::{self, BuildOutcome, CheckpointPolicy};
 use crate::kernel::{GaussianKernel, Kernel};
@@ -55,10 +49,13 @@ use vas_stream::{write_atomic, PointSource, VasError};
 
 /// Which inner-loop implementation the Interchange algorithm uses.
 ///
-/// All strategies implement the same hill-climbing rule; `Naive` and
-/// `ExpandShrink` produce bit-identical samples, while
-/// `ExpandShrinkLocality` may differ negligibly because kernel values below
-/// the locality threshold are treated as zero.
+/// All strategies implement the same hill-climbing rule. `Naive` and
+/// `ExpandShrink` make identical decisions until two responsibilities come
+/// within floating-point rounding of each other: they sum in different
+/// orders, so such a near-tie can be resolved differently, and from then on
+/// the samples may differ (both remain valid Interchange runs).
+/// `ExpandShrinkLocality` may also differ negligibly because kernel values
+/// below the locality threshold are treated as zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InterchangeStrategy {
     /// Recompute responsibilities from scratch for every candidate ("No ES").
@@ -121,27 +118,6 @@ pub struct VasConfig {
     /// benchmark and as the reference the determinism suite compares
     /// against.
     pub scalar_kernel_path: bool,
-    /// Worker threads for the chunked entry points
-    /// ([`VasSampler::observe_chunk`] and the `build*` drivers built on it).
-    /// `1` (the default) is the plain sequential loop; above 1 the
-    /// `ExpandShrinkLocality` strategy runs its **speculative kernel
-    /// pre-evaluation** front: per-chunk workers compute each candidate's
-    /// neighbourhood kernel sums against a sample-epoch snapshot while the
-    /// accept/reject decision stays on the calling thread, consuming the
-    /// pre-evaluated deltas in stream order — bit-identical to the
-    /// sequential path at every thread count (pinned in
-    /// `tests/determinism.rs`). `0` asks the OS for the available
-    /// parallelism. Strategies without locality fall back to the sequential
-    /// loop.
-    pub threads: usize,
-    /// Fault injection for the recovery harness: make the speculative
-    /// pre-evaluation front panic in a worker when the sampler's
-    /// lifetime-total count of speculated batches reaches this value. The
-    /// panic is **contained**: the batch's pre-evaluated buffers are
-    /// discarded and the batch re-runs on the reference sequential path, so
-    /// the final sample keeps every bit (pinned by the `fault_matrix`
-    /// harness). `None` (the default) injects nothing.
-    pub inject_speculation_panic_at: Option<u64>,
 }
 
 impl VasConfig {
@@ -157,8 +133,6 @@ impl VasConfig {
             legacy_inner_loop: false,
             scalar_kernel_path: false,
             locality_backend: LocalityBackend::default(),
-            threads: 1,
-            inject_speculation_panic_at: None,
         }
     }
 
@@ -217,18 +191,11 @@ impl VasConfig {
         self
     }
 
-    /// Sets the worker-thread count for the chunked entry points (see
-    /// [`threads`](Self::threads); `0` = available parallelism).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Arms the speculation-panic fault injector (see
-    /// [`inject_speculation_panic_at`](Self::inject_speculation_panic_at)).
-    /// Testing and fault-matrix use only.
-    pub fn with_injected_speculation_panic(mut self, at_batch: u64) -> Self {
-        self.inject_speculation_panic_at = Some(at_batch);
+    /// Accepts and ignores a thread count: Interchange is a single
+    /// sequential hill climb and has no worker threads. Kept so callers
+    /// written against the former thread knob still compile; it returns
+    /// `self` unchanged.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 }
@@ -252,118 +219,6 @@ pub struct ProgressEvent {
 
 /// Callback receiving [`ProgressEvent`]s.
 pub type ProgressSink = Box<dyn FnMut(ProgressEvent) + Send>;
-
-/// Largest speculative pre-evaluation batch (see [`VasConfig::threads`]).
-/// One batch is snapshot → fan-out → ordered apply; the cap bounds the
-/// delta-buffer footprint (~`m·16` bytes per candidate for neighbourhood
-/// size `m`). The *actual* batch size adapts to the observed accept
-/// spacing — an accept throws away the remainder's pre-evaluated deltas,
-/// so batches aim for ≈ 1 accept each: early in the hill climb (accept
-/// spacing below [`MIN_PRE_EVAL_BATCH`], rate `≈ K/t` on a shuffled
-/// stream) candidates run sequentially, and batches grow with the spacing
-/// up to this cap.
-const PRE_EVAL_BATCH: usize = 2_048;
-
-/// Smallest batch worth a fan-out (a few scoped-thread spawns, ~10–30µs
-/// each, against `MIN_PRE_EVAL_BATCH · m` kernel evaluations); doubles as
-/// the speculation gate — accept spacings below this mean the fan-out
-/// would mostly compute deltas an accept throws away.
-const MIN_PRE_EVAL_BATCH: usize = 128;
-
-/// When an accept invalidates a batch remainder at least this long, the
-/// remainder is **re-speculated** (a fresh fan-out against the new epoch)
-/// instead of finished sequentially — the recompute work stays on the
-/// workers. Shorter remainders are cheaper to finish live than to re-spawn
-/// for.
-const RESPECULATE_MIN_REMAINDER: usize = 192;
-
-/// At most this many re-speculations per batch; a batch that keeps
-/// accepting past it finishes sequentially (the adaptive batch sizing in
-/// [`VasSampler::observe_chunk`] then shrinks the next batches until the
-/// accept rate settles).
-const MAX_RESPECULATIONS: usize = 8;
-
-/// Per-worker output buffers of the speculative pre-evaluation front.
-///
-/// Worker `w` writes its candidates' deltas into the lane-parallel flat
-/// arrays `ids[w]`/`vals[w]` (struct-of-arrays: `ids[w][n]` is the sample
-/// slot whose kernel value is `vals[w][n]`) in candidate-then-visitation
-/// order, with per-candidate `(delta_count, cand_rsp)` records in `meta[w]`;
-/// `gathers[w]` is the worker's reusable batch-gather scratch and `ranges`
-/// records the stripe split of the last fan-out. The consumer walks worker
-/// stripes in range order, which is exactly stream order.
-#[derive(Debug, Default)]
-struct PreEvalScratch {
-    ids: Vec<Vec<usize>>,
-    vals: Vec<Vec<f64>>,
-    meta: Vec<Vec<(u32, f64)>>,
-    gathers: Vec<NeighborBatch>,
-    ranges: Vec<std::ops::Range<usize>>,
-}
-
-impl PreEvalScratch {
-    /// Makes sure `workers` buffer sets exist (capacity is kept across
-    /// batches).
-    fn ensure_workers(&mut self, workers: usize) {
-        self.ids.resize_with(workers.max(self.ids.len()), Vec::new);
-        self.vals
-            .resize_with(workers.max(self.vals.len()), Vec::new);
-        self.meta
-            .resize_with(workers.max(self.meta.len()), Vec::new);
-        self.gathers
-            .resize_with(workers.max(self.gathers.len()), NeighborBatch::new);
-    }
-}
-
-/// The worker body of the speculative pre-evaluation front: for every
-/// candidate in `candidates`, evaluate the kernel against its neighbourhood
-/// in the frozen `index` snapshot — the identical query, evaluation and
-/// summation order the sequential Expand step performs, so a pre-evaluated
-/// delta block substitutes for the live computation bit-for-bit as long as
-/// the snapshot is still valid.
-///
-/// By default each candidate is gather-then-batch-evaluated: the index fills
-/// `gather`'s SoA lanes in visitation order, [`Kernel::eval_dist2_batch`]
-/// maps them in one vectorizable sweep, and `cand_rsp` folds the value lanes
-/// left-to-right — the exact association order of the scalar visitor, which
-/// `scalar` selects instead (the benchmarked baseline).
-#[allow(clippy::too_many_arguments)]
-fn pre_eval_range<L: LocalityIndex>(
-    index: &L,
-    kernel: GaussianKernel,
-    cutoff: f64,
-    scalar: bool,
-    candidates: &[Point],
-    ids: &mut Vec<usize>,
-    vals: &mut Vec<f64>,
-    meta: &mut Vec<(u32, f64)>,
-    gather: &mut NeighborBatch,
-) {
-    ids.clear();
-    vals.clear();
-    meta.clear();
-    for p in candidates {
-        let start = ids.len();
-        let mut cand_rsp = 0.0;
-        if scalar {
-            index.for_each_in_radius_with_dist2(p, cutoff, |i, _, d2| {
-                let v = kernel.eval_dist2(d2);
-                ids.push(i);
-                vals.push(v);
-                cand_rsp += v;
-            });
-        } else {
-            index.gather_in_radius_into(p, cutoff, gather);
-            ids.extend_from_slice(&gather.ids);
-            vals.resize(start + gather.len(), 0.0);
-            kernel.eval_dist2_batch(&gather.dist2, &mut vals[start..]);
-            for &v in &vals[start..] {
-                cand_rsp += v;
-            }
-        }
-        meta.push(((ids.len() - start) as u32, cand_rsp));
-    }
-}
 
 /// The VAS sampler: Interchange over a stream of points.
 ///
@@ -400,26 +255,15 @@ pub struct VasSampler<L: LocalityIndex = AnyLocalityIndex> {
     /// Reusable buffer of per-candidate kernel values, lane-parallel to
     /// `gather.ids` (the other half of the SoA delta representation).
     scratch_vals: Vec<f64>,
-    /// Per-worker buffers of the speculative pre-evaluation front, reused
-    /// across batches so the steady-state parallel path allocates nothing.
-    pre_eval: PreEvalScratch,
-    /// Running estimate of the candidate-stream accept spacing (candidates
-    /// per accept), driving the adaptive speculation batch size. Starts at
-    /// 0 so the earliest (hottest) candidates run sequentially while the
-    /// spacing is measured.
-    accept_spacing: u64,
     /// Running objective value (½ of the responsibility sum, maintained
     /// incrementally).
     objective: f64,
     seen: u64,
     replacements: u64,
-    /// Lifetime count of speculated batches (drives the deterministic
-    /// panic-injection hook, [`VasConfig::inject_speculation_panic_at`]).
-    speculated: u64,
     /// Metrics/journal sink ([`Recorder::detached`] by default): kernel
-    /// lanes, contained panics, accepts/rejects and checkpoint events live
-    /// in its registry rather than in dedicated fields. Strictly off the
-    /// data path — nothing it measures feeds back into sampled state.
+    /// lanes, accepts/rejects and checkpoint events live in its registry
+    /// rather than in dedicated fields. Strictly off the data path —
+    /// nothing it measures feeds back into sampled state.
     recorder: Recorder,
     progress: Option<ProgressSink>,
     started: Instant,
@@ -559,17 +403,9 @@ impl VasSampler {
         snap::put_f64(&mut out, self.objective);
         snap::put_u64(&mut out, self.seen);
         snap::put_u64(&mut out, self.replacements);
-        snap::put_u64(&mut out, self.accept_spacing);
         snap::put_u64(
             &mut out,
             self.recorder.registry().get(Counter::CoreKernelLanes),
-        );
-        snap::put_u64(&mut out, self.speculated);
-        snap::put_u64(
-            &mut out,
-            self.recorder
-                .registry()
-                .get(Counter::CoreContainedWorkerPanics),
         );
         let index_bytes = self.index.snapshot();
         snap::put_usize(&mut out, index_bytes.len());
@@ -598,8 +434,7 @@ impl VasSampler {
     /// Restores a sampler from a checkpoint file, verifying that `config`
     /// asks for the run the checkpoint belongs to (budget, strategy,
     /// backend, threshold, passes — everything the sample bits depend on;
-    /// thread count and progress reporting may differ, as the output is
-    /// bit-identical across them).
+    /// progress reporting may differ, as the output does not depend on it).
     ///
     /// Returns the sampler plus the stream position to resume from:
     /// `(pass, chunks_consumed, source_name, chunk_capacity)`.
@@ -612,9 +447,9 @@ impl VasSampler {
 
     /// [`resume_from_checkpoint`](Self::resume_from_checkpoint) with a
     /// [`Recorder`] attached to the restored sampler: the checkpointed
-    /// kernel-lane and contained-panic totals are restored into its
-    /// registry, `core_checkpoint_resumes` is counted and a
-    /// `checkpoint_resume` event is journaled.
+    /// kernel-lane total is restored into its registry,
+    /// `core_checkpoint_resumes` is counted and a `checkpoint_resume` event
+    /// is journaled.
     pub fn resume_from_checkpoint_recorded(
         path: &Path,
         config: VasConfig,
@@ -685,10 +520,7 @@ impl VasSampler {
         let objective = r.take_f64("objective").map_err(ck)?;
         let seen = r.take_u64("seen").map_err(ck)?;
         let replacements = r.take_u64("replacements").map_err(ck)?;
-        let accept_spacing = r.take_u64("accept spacing").map_err(ck)?;
         let kernel_lanes = r.take_u64("kernel lanes").map_err(ck)?;
-        let speculated = r.take_u64("speculated batches").map_err(ck)?;
-        let contained = r.take_u64("contained panics").map_err(ck)?;
         let index_len = r.take_usize("index snapshot length").map_err(ck)?;
         let mut index_bytes = Vec::with_capacity(index_len.min(1 << 20));
         for _ in 0..index_len {
@@ -696,6 +528,11 @@ impl VasSampler {
         }
         r.expect_end().map_err(ck)?;
 
+        if points.len() > k {
+            return Err(VasError::Checkpoint {
+                detail: format!("{} sample points for a budget of {k}", points.len()),
+            });
+        }
         if rsp.len() != points.len() {
             return Err(VasError::Checkpoint {
                 detail: format!(
@@ -709,6 +546,21 @@ impl VasSampler {
             detail: e.to_string(),
         })?;
         require_match("index backend", index.backend(), backend)?;
+        // Only the locality strategy keeps the sample in the index.
+        let indexed = if strategy == InterchangeStrategy::ExpandShrinkLocality {
+            points.len()
+        } else {
+            0
+        };
+        if index.len() != indexed {
+            return Err(VasError::Checkpoint {
+                detail: format!(
+                    "index holds {} entries for {} sample points",
+                    index.len(),
+                    points.len()
+                ),
+            });
+        }
 
         let mut sampler = VasSampler::new(config);
         sampler.recorder = recorder;
@@ -719,14 +571,9 @@ impl VasSampler {
         sampler.objective = objective;
         sampler.seen = seen;
         sampler.replacements = replacements;
-        sampler.accept_spacing = accept_spacing;
         sampler
             .recorder
             .set_restored(Counter::CoreKernelLanes, kernel_lanes);
-        sampler.speculated = speculated;
-        sampler
-            .recorder
-            .set_restored(Counter::CoreContainedWorkerPanics, contained);
         sampler.recorder.inc(Counter::CoreCheckpointResumes, 1);
         sampler.recorder.event(
             "checkpoint_resume",
@@ -891,12 +738,9 @@ impl<L: LocalityIndex> VasSampler<L> {
             tracker_fresh: false,
             gather: NeighborBatch::new(),
             scratch_vals: Vec::new(),
-            pre_eval: PreEvalScratch::default(),
-            accept_spacing: 0,
             objective: 0.0,
             seen: 0,
             replacements: 0,
-            speculated: 0,
             recorder: Recorder::detached(),
             progress: None,
             started: Instant::now(),
@@ -923,13 +767,13 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.progress = Some(sink);
     }
 
-    /// Attaches a shared [`Recorder`]: kernel lanes, accepts/rejects,
-    /// contained panics and checkpoint events count into its registry;
-    /// phase timings and journal events flow to it when enabled. Note that
-    /// [`finalize`](Sampler::finalize) resets the registry's
-    /// build-scoped counters (accepts, rejects, kernel lanes), so a
-    /// registry shared across *concurrent* builds will see those views
-    /// interleave — lifetime counters are unaffected.
+    /// Attaches a shared [`Recorder`]: kernel lanes, accepts/rejects and
+    /// checkpoint events count into its registry; phase timings and journal
+    /// events flow to it when enabled. Note that
+    /// [`finalize`](Sampler::finalize) resets the registry's build-scoped
+    /// counters (accepts, rejects, kernel lanes), so a registry shared
+    /// across *concurrent* builds will see those views interleave —
+    /// lifetime counters are unaffected.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -965,20 +809,6 @@ impl<L: LocalityIndex> VasSampler<L> {
     /// attached recorder directly.
     pub fn kernel_lanes(&self) -> u64 {
         self.recorder.registry().get(Counter::CoreKernelLanes)
-    }
-
-    /// Speculative batches whose worker panicked and were **contained**: the
-    /// pre-evaluated buffers were discarded and the batch re-ran on the
-    /// reference sequential path, changing no sample bit. Zero in a healthy
-    /// run.
-    ///
-    /// Thin view over the metrics registry
-    /// (`Counter::CoreContainedWorkerPanics`); kept for compatibility — new
-    /// code should read the registry of the attached recorder directly.
-    pub fn contained_worker_panics(&self) -> u64 {
-        self.recorder
-            .registry()
-            .get(Counter::CoreContainedWorkerPanics)
     }
 
     /// Current value of the optimization objective.
@@ -1158,27 +988,9 @@ impl<L: LocalityIndex> VasSampler<L> {
     }
 
     /// Observes every point of `chunk` in order — the chunked counterpart of
-    /// [`observe`](Sampler::observe), and the entry point of the parallel
-    /// execution path.
-    ///
-    /// With [`VasConfig::threads`] ≤ 1 (or a strategy the parallel front
-    /// does not cover) this is exactly the sequential `observe` loop. Above
-    /// 1, `ExpandShrinkLocality` candidates run through **speculative kernel
-    /// pre-evaluation**: the chunk is cut into batches of at most
-    /// [`PRE_EVAL_BATCH`] candidates; for each batch, scoped workers
-    /// partition the candidates into contiguous ranges and compute every
-    /// candidate's neighbourhood `(slot, κ̃)` deltas against the *frozen*
-    /// sample index (the batch's epoch snapshot); the calling thread then
-    /// replays the batch **in stream order**, feeding each pre-evaluated
-    /// block to the unchanged Shrink/accept logic. An accepted replacement
-    /// mutates the sample and thereby invalidates the remaining pre-evaluated
-    /// blocks of the batch — a long remainder is **re-speculated** (fresh
-    /// fan-out against the new epoch), a short one finishes on the live
-    /// index, and batches are only speculated at all while the accept rate
-    /// is low (the adaptive gate below) — so at steady state, where accepts
-    /// are ≪1% of candidates, almost all kernel work leaves the critical
-    /// thread while the output stays bit-identical at every thread count
-    /// (pinned in `tests/determinism.rs`).
+    /// [`observe`](Sampler::observe), and the loop every `build*` driver
+    /// runs. It is exactly the `observe` loop, split into a fill phase and a
+    /// candidate phase so each can be timed and traced as one block.
     pub fn observe_chunk(&mut self, chunk: &[Point]) {
         let mut span = self.recorder.span("observe_chunk");
         span.attr("chunk_len", chunk.len());
@@ -1238,48 +1050,7 @@ impl<L: LocalityIndex> VasSampler<L> {
     }
 
     fn observe_chunk_inner(&mut self, chunk: &[Point]) {
-        let threads = vas_par::effective_threads(self.config.threads);
-        let speculative = threads > 1
-            && self.config.strategy == InterchangeStrategy::ExpandShrinkLocality
-            && !self.config.legacy_inner_loop
-            && self.config.k > 0
-            && self.kernel.is_some();
-        if !speculative {
-            let mut rest = chunk;
-            if self.points.len() < self.config.k {
-                let fill = (self.config.k - self.points.len()).min(rest.len());
-                let started = self.recorder.timing_enabled().then(Instant::now);
-                {
-                    let _span = self.recorder.span("fill");
-                    for p in &rest[..fill] {
-                        self.observe(*p);
-                    }
-                }
-                if let Some(t0) = started {
-                    self.recorder
-                        .record_phase_ns(Phase::Fill, t0.elapsed().as_nanos() as u64);
-                }
-                rest = &rest[fill..];
-            }
-            if rest.is_empty() {
-                return;
-            }
-            let started = self.recorder.timing_enabled().then(Instant::now);
-            {
-                let _span = self.recorder.span("candidate_eval");
-                for p in rest {
-                    self.observe(*p);
-                }
-            }
-            if let Some(t0) = started {
-                self.recorder
-                    .record_phase_ns(Phase::CandidateEval, t0.elapsed().as_nanos() as u64);
-            }
-            return;
-        }
         let mut rest = chunk;
-        // The fill phase (and a possible mid-chunk fill → candidate
-        // transition) stays sequential: it mutates the index per point.
         if self.points.len() < self.config.k {
             let fill = (self.config.k - self.points.len()).min(rest.len());
             let started = self.recorder.timing_enabled().then(Instant::now);
@@ -1295,266 +1066,20 @@ impl<L: LocalityIndex> VasSampler<L> {
             }
             rest = &rest[fill..];
         }
-        while !rest.is_empty() {
-            // Adaptive batch sizing: aim for ≈ 1 accept per batch. The
-            // estimator is the accept spacing observed over recent batches
-            // — a pure function of the stream, so the sizing (like
-            // everything else here) is deterministic, and both paths
-            // produce identical output anyway. Below the minimum spacing
-            // the hill climb is too hot to speculate on at all (the
-            // fan-out would mostly compute deltas an accept throws away)
-            // and candidates run sequentially while the spacing keeps
-            // being measured.
-            let spacing = self.accept_spacing;
-            let take = rest
-                .len()
-                .min((spacing as usize).clamp(MIN_PRE_EVAL_BATCH, PRE_EVAL_BATCH));
-            let (batch, tail) = rest.split_at(take);
-            let before = self.replacements;
-            // `take` can undershoot the minimum at a chunk tail — such a
-            // sliver is cheaper to run sequentially than to fan out for.
-            if spacing >= MIN_PRE_EVAL_BATCH as u64 && take >= MIN_PRE_EVAL_BATCH {
-                self.observe_candidates_speculative(batch, threads);
-            } else {
-                let started = self.recorder.timing_enabled().then(Instant::now);
-                {
-                    let _span = self.recorder.span("candidate_eval");
-                    for p in batch {
-                        self.observe(*p);
-                    }
-                }
-                if let Some(t0) = started {
-                    self.recorder
-                        .record_phase_ns(Phase::CandidateEval, t0.elapsed().as_nanos() as u64);
-                }
-            }
-            let accepts = self.replacements - before;
-            self.accept_spacing = if accepts == 0 {
-                self.accept_spacing.saturating_add(take as u64)
-            } else {
-                take as u64 / (accepts + 1)
-            };
-            rest = tail;
+        if rest.is_empty() {
+            return;
         }
-    }
-
-    /// One speculative batch: snapshot → parallel pre-evaluation → ordered
-    /// sequential apply; on invalidation, **re-speculate** what is left. See
-    /// [`observe_chunk`](Self::observe_chunk).
-    fn observe_candidates_speculative(&mut self, batch: &[Point], threads: usize) {
-        let mut rest = batch;
-        let mut respeculations = 0usize;
-        while !rest.is_empty() {
-            // The epoch snapshot: the index only changes when a replacement
-            // is accepted, so "no accept since the fan-out" ⟺ "the
-            // pre-evaluated deltas are exactly what a live Expand would
-            // compute now".
-            let snapshot = self.replacements;
-            let started = self.recorder.timing_enabled().then(Instant::now);
-            let pre_eval_ok = {
-                let mut span = self.recorder.span("candidate_eval");
-                span.attr("batch_len", rest.len());
-                self.pre_evaluate(rest, threads)
-            };
-            if let Some(t0) = started {
-                self.recorder
-                    .record_phase_ns(Phase::CandidateEval, t0.elapsed().as_nanos() as u64);
-            }
-            if !pre_eval_ok {
-                // A worker panicked mid-fan-out: the pre-evaluated buffers
-                // are unusable (possibly half-written), but the sample, the
-                // index and the stream position are untouched — the fan-out
-                // only *reads* the frozen index. Contain the failure by
-                // finishing the batch on the reference sequential path,
-                // which is bit-identical to a successful speculation by the
-                // determinism contract.
-                self.recorder.inc(Counter::CoreContainedWorkerPanics, 1);
-                // A contained panic is the flight recorder's moment: dump
-                // the recent span/event ring before degrading, so the
-                // post-mortem shows what led up to the poisoned fan-out.
-                let _ = self.recorder.fatal("contained_worker_panic");
-                let started = self.recorder.timing_enabled().then(Instant::now);
-                {
-                    let _span = self.recorder.span("accept_churn");
-                    for p in rest {
-                        self.seen += 1;
-                        self.observe_candidate(*p);
-                        self.maybe_report_progress();
-                    }
-                }
-                if let Some(t0) = started {
-                    self.recorder
-                        .record_phase_ns(Phase::AcceptChurn, t0.elapsed().as_nanos() as u64);
-                }
-                return;
-            }
-            let started = self.recorder.timing_enabled().then(Instant::now);
-            let applied = {
-                let _span = self.recorder.span("speculation_replay");
-                self.apply_pre_evaluated(rest, snapshot)
-            };
-            if let Some(t0) = started {
-                self.recorder
-                    .record_phase_ns(Phase::SpeculationReplay, t0.elapsed().as_nanos() as u64);
-            }
-            rest = &rest[applied..];
-            if rest.is_empty() {
-                return;
-            }
-            // `applied < len` means an accept invalidated the remainder's
-            // pre-evaluations. A large remainder is worth a fresh fan-out
-            // (the loop re-speculates it against the new epoch); a small
-            // one — or a batch that keeps accepting — is cheaper to finish
-            // on the live index directly.
-            respeculations += 1;
-            if rest.len() < RESPECULATE_MIN_REMAINDER || respeculations > MAX_RESPECULATIONS {
-                let started = self.recorder.timing_enabled().then(Instant::now);
-                {
-                    let _span = self.recorder.span("accept_churn");
-                    for p in rest {
-                        self.seen += 1;
-                        self.observe_candidate(*p);
-                        self.maybe_report_progress();
-                    }
-                }
-                if let Some(t0) = started {
-                    self.recorder
-                        .record_phase_ns(Phase::AcceptChurn, t0.elapsed().as_nanos() as u64);
-                }
-                return;
+        let started = self.recorder.timing_enabled().then(Instant::now);
+        {
+            let _span = self.recorder.span("candidate_eval");
+            for p in rest {
+                self.observe(*p);
             }
         }
-    }
-
-    /// Fans `candidates` out over `threads` scoped workers, each computing
-    /// its contiguous stripe's neighbourhood deltas against the frozen
-    /// index, into the reusable per-worker buffers.
-    ///
-    /// Returns `false` when a worker **panicked**: the panic is contained
-    /// (every worker is joined, the calling thread's own stripe runs under
-    /// `catch_unwind`) and the caller must treat the pre-evaluated buffers
-    /// as poison — nothing else is touched, so degrading the batch to the
-    /// sequential path is safe and bit-identical.
-    fn pre_evaluate(&mut self, candidates: &[Point], threads: usize) -> bool {
-        let kernel = self.kernel.expect("kernel resolved");
-        let cutoff = self.cutoff;
-        let scalar = self.config.scalar_kernel_path;
-        let batch_index = self.speculated;
-        self.speculated += 1;
-        let inject_panic = self.config.inject_speculation_panic_at == Some(batch_index);
-        let ranges = vas_par::split_ranges(candidates.len(), threads);
-        let workers = ranges.len();
-        self.pre_eval.ensure_workers(workers);
-        self.pre_eval.ranges.clear();
-        self.pre_eval.ranges.extend(ranges.iter().cloned());
-        // Cross-thread span propagation: capture the consuming thread's
-        // open span (the batch's candidate_eval span) before the fan-out so
-        // every worker-task span parents under it. Both are `None`/inert
-        // without an attached tracer.
-        let span_parent = self.recorder.current_ctx();
-        let worker_recorder = self.recorder.clone();
-        // Split the borrows: workers share the frozen index (`&L` is
-        // `Sync`) and each owns one disjoint output buffer set.
-        let Self {
-            index, pre_eval, ..
-        } = &mut *self;
-        let index = &*index;
-        let id_bufs = &mut pre_eval.ids[..workers];
-        let val_bufs = &mut pre_eval.vals[..workers];
-        let meta_bufs = &mut pre_eval.meta[..workers];
-        let gather_bufs = &mut pre_eval.gathers[..workers];
-        let mut poisoned = false;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers.saturating_sub(1));
-            let mut stripes = ranges.iter().cloned().zip(
-                id_bufs
-                    .iter_mut()
-                    .zip(val_bufs.iter_mut())
-                    .zip(meta_bufs.iter_mut().zip(gather_bufs.iter_mut())),
-            );
-            let first = stripes.next().expect("at least one range");
-            // The injected fault hits a *spawned* worker when there is one
-            // (exercising the cross-thread containment path), else the
-            // calling thread's own stripe.
-            let mut inject_in_spawned = inject_panic && workers > 1;
-            for (range, ((ids, vals), (meta, gather))) in stripes {
-                let stripe = &candidates[range];
-                let worker_injects = std::mem::take(&mut inject_in_spawned);
-                let rec = worker_recorder.clone();
-                handles.push(scope.spawn(move || {
-                    let mut span = rec.span_under("worker_task", span_parent);
-                    span.attr("site", "pre_eval");
-                    span.attr("stripe_len", stripe.len());
-                    if worker_injects {
-                        panic!("injected speculation fault (batch {batch_index})");
-                    }
-                    pre_eval_range(
-                        index, kernel, cutoff, scalar, stripe, ids, vals, meta, gather,
-                    );
-                }));
-            }
-            // The calling thread is worker 0; contain its own stripe too so
-            // a panic here cannot leak past the scope while the spawned
-            // workers are still running.
-            let (range, ((ids, vals), (meta, gather))) = first;
-            let stripe = &candidates[range];
-            let mut span = worker_recorder.span_under("worker_task", span_parent);
-            span.attr("site", "pre_eval");
-            span.attr("stripe_len", stripe.len());
-            let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if inject_panic && workers == 1 {
-                    panic!("injected speculation fault (batch {batch_index})");
-                }
-                pre_eval_range(
-                    index, kernel, cutoff, scalar, stripe, ids, vals, meta, gather,
-                );
-            }));
-            drop(span);
-            poisoned |= own.is_err();
-            for h in handles {
-                poisoned |= h.join().is_err();
-            }
-        });
-        if poisoned {
-            return false;
+        if let Some(t0) = started {
+            self.recorder
+                .record_phase_ns(Phase::CandidateEval, t0.elapsed().as_nanos() as u64);
         }
-        if !scalar {
-            let lanes = self.pre_eval.vals[..workers]
-                .iter()
-                .map(|v| v.len() as u64)
-                .sum::<u64>();
-            self.recorder.inc(Counter::CoreKernelLanes, lanes);
-        }
-        true
-    }
-
-    /// Replays pre-evaluated candidates **in stream order** until the batch
-    /// is exhausted or the epoch goes stale (the candidate that *causes* the
-    /// accept still consumes its own valid pre-evaluation). Returns how many
-    /// candidates were consumed. Worker stripes are contiguous ranges in
-    /// ascending order, so walking them in order is walking the batch in
-    /// stream order.
-    fn apply_pre_evaluated(&mut self, batch: &[Point], snapshot: u64) -> usize {
-        let scratch = std::mem::take(&mut self.pre_eval);
-        let mut applied = 0usize;
-        'stripes: for (w, range) in scratch.ranges.iter().enumerate() {
-            let mut cursor = 0usize;
-            for (j, &(len, cand_rsp)) in scratch.meta[w].iter().enumerate() {
-                if self.replacements != snapshot {
-                    break 'stripes;
-                }
-                let point = batch[range.start + j];
-                let ids = &scratch.ids[w][cursor..cursor + len as usize];
-                let vals = &scratch.vals[w][cursor..cursor + len as usize];
-                cursor += len as usize;
-                self.seen += 1;
-                self.shrink_apply_es_locality(point, ids, vals, cand_rsp);
-                self.maybe_report_progress();
-                applied += 1;
-            }
-        }
-        self.pre_eval = scratch;
-        applied
     }
 
     fn install_kernel(&mut self, kernel: GaussianKernel) {
@@ -1842,11 +1367,9 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.scratch_vals = vals;
     }
 
-    /// The Shrink + accept half of the "ES+Loc" replacement test, fed either
-    /// by the live Expand above or by a **pre-evaluated** delta block from
-    /// the speculative front ([`VasSampler::observe_chunk`]); both produce
-    /// the identical SoA delta lanes (`ids[n]` is the sample slot whose
-    /// kernel value is `vals[n]`), so this path is shared verbatim.
+    /// The Shrink + accept half of the "ES+Loc" replacement test, fed the
+    /// Expand step's SoA delta lanes (`ids[n]` is the sample slot whose
+    /// kernel value is `vals[n]`).
     fn shrink_apply_es_locality(
         &mut self,
         point: Point,
@@ -2065,17 +1588,11 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.tracker_fresh = false;
         self.gather = NeighborBatch::new();
         self.scratch_vals = Vec::new();
-        self.pre_eval = PreEvalScratch::default();
-        self.accept_spacing = 0;
         self.objective = 0.0;
         self.seen = 0;
         self.replacements = 0;
-        self.speculated = 0;
         // Resets the registry's build-scoped counters (accepts, rejects,
-        // kernel lanes). `core_contained_worker_panics` deliberately
-        // survives: it is the sampler-lifetime health counter callers
-        // inspect *after* a build to learn whether any speculative batch
-        // was poisoned.
+        // kernel lanes); lifetime counters survive.
         self.recorder.registry().reset_build_counters();
         self.started = Instant::now();
         // Keep the resolved kernel: it describes the data domain, which does
@@ -2694,55 +2211,8 @@ mod tests {
     }
 
     #[test]
-    fn speculative_pre_evaluation_is_bit_identical_to_sequential() {
-        // The tentpole contract of the parallel execution subsystem: the
-        // speculative pre-evaluation front must not change a single
-        // replacement decision at any thread count, on any locality backend,
-        // single- and multi-pass.
-        let d = GeolifeGenerator::with_size(4_000, 91).generate();
-        let k = 150;
-        for backend in LocalityBackend::ALL {
-            for passes in [1usize, 2] {
-                let config = VasConfig::new(k)
-                    .with_locality_backend(backend)
-                    .with_passes(passes);
-                let reference = VasSampler::from_dataset(&d, config.clone()).build(&d);
-                for threads in [2usize, 3, 4] {
-                    let parallel =
-                        VasSampler::from_dataset(&d, config.clone().with_threads(threads))
-                            .build(&d);
-                    assert_samples_bitwise_equal(
-                        &parallel.points,
-                        &reference.points,
-                        &format!("threads {threads} vs 1 ({backend}, {passes} passes)"),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn speculative_path_matches_sequential_through_build_from_source() {
-        // Same contract through the streaming entry point, including the
-        // ε-resolution pre-pass, across awkward chunk sizes (chunks smaller,
-        // equal to and larger than the pre-evaluation batch).
-        let d = GeolifeGenerator::with_size(5_000, 97).generate();
-        let reference = VasSampler::from_dataset(&d, VasConfig::new(200)).build(&d);
-        for chunk in [128usize, 2_048, 5_000] {
-            let mut streaming = VasSampler::new(VasConfig::new(200).with_threads(4));
-            let mut source = vas_stream::DatasetSource::with_chunk_size(&d, chunk);
-            let sample = streaming.build_from_source(&mut source).unwrap();
-            assert_samples_bitwise_equal(
-                &sample.points,
-                &reference.points,
-                &format!("parallel stream chunk {chunk}"),
-            );
-        }
-    }
-
-    #[test]
     fn observe_chunk_equals_observe_loop_sequentially() {
-        // threads = 1 must be *the* sequential loop, not a near-copy.
+        // The chunked loop must be *the* `observe` loop, not a near-copy.
         let d = GeolifeGenerator::with_size(2_000, 101).generate();
         let config = VasConfig::new(100);
         let mut chunked = VasSampler::from_dataset(&d, config.clone());
@@ -2760,29 +2230,6 @@ mod tests {
         );
         assert_eq!(chunked.replacements(), plain.replacements());
         assert_eq!(chunked.seen, plain.seen);
-    }
-
-    #[test]
-    fn speculative_path_emits_identical_progress_events() {
-        let d = GeolifeGenerator::with_size(3_000, 107).generate();
-        let collect = |threads: usize| {
-            let events = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            let sink = events.clone();
-            let mut s = VasSampler::from_dataset(
-                &d,
-                VasConfig::new(100)
-                    .with_progress_every(250)
-                    .with_threads(threads),
-            );
-            s.set_progress_sink(Box::new(move |e| sink.lock().unwrap().push(e)));
-            let _ = s.build(&d);
-            let events = events.lock().unwrap();
-            events
-                .iter()
-                .map(|e| (e.tuples_processed, e.replacements, e.objective.to_bits()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(collect(1), collect(4));
     }
 
     #[test]
@@ -2823,8 +2270,8 @@ mod tests {
 
     /// Kill-and-resume at several chunk boundaries, every backend: the
     /// resumed build must reproduce the uninterrupted sample bit for bit.
-    /// (The exhaustive boundary × thread sweep lives in
-    /// `tests/determinism.rs` and the `fault_matrix` harness.)
+    /// (The exhaustive boundary sweep lives in `tests/determinism.rs` and
+    /// the `fault_matrix` harness.)
     #[test]
     fn checkpoint_resume_is_bit_identical_per_backend() {
         let d = GeolifeGenerator::with_size(4_000, 11).generate();
@@ -2846,7 +2293,7 @@ mod tests {
 
                 let resume_policy = CheckpointPolicy::every(&path, 1);
                 let mut src = vas_stream::DatasetSource::with_chunk_size(&d, 512);
-                let (sampler, outcome) =
+                let (_, outcome) =
                     VasSampler::resume_build_from_source(config.clone(), &mut src, &resume_policy)
                         .unwrap();
                 let resumed = outcome.into_sample().expect("resumed run completes");
@@ -2855,7 +2302,6 @@ mod tests {
                     &clean,
                     &format!("{backend}, killed after chunk {kill_after}"),
                 );
-                assert_eq!(sampler.contained_worker_panics(), 0);
                 std::fs::remove_file(&path).ok();
             }
         }
@@ -2931,7 +2377,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let err = VasSampler::resume_from_checkpoint(&path, config).unwrap_err();
+        let err = VasSampler::resume_from_checkpoint(&path, config.clone()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -2942,34 +2388,51 @@ mod tests {
             ),
             "{err}"
         );
+
+        // CRC-valid checkpoints whose sample has an impossible shape.
+        let mut sampler = VasSampler::from_dataset(&d, VasConfig::new(8));
+        for p in d.points.iter().take(100) {
+            sampler.observe(*p);
+        }
+        // More sample points than the budget: K = 4 with 8 points.
+        sampler.config.k = 4;
+        sampler.write_checkpoint(&path, 0, 1, "shape", 256).unwrap();
+        let err = VasSampler::resume_from_checkpoint(&path, VasConfig::new(4)).unwrap_err();
+        assert!(matches!(err, VasError::Checkpoint { .. }), "{err}");
+        // A 5-entry index under an 8-point sample.
+        sampler.config.k = 8;
+        sampler.index = AnyLocalityIndex::new(LocalityBackend::default());
+        sampler.index.reset(sampler.cutoff);
+        for (slot, p) in d.points.iter().take(5).enumerate() {
+            sampler.index.insert(slot, *p);
+        }
+        sampler.write_checkpoint(&path, 0, 1, "shape", 256).unwrap();
+        let err = VasSampler::resume_from_checkpoint(&path, VasConfig::new(8)).unwrap_err();
+        assert!(matches!(err, VasError::Checkpoint { .. }), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
-    /// An injected worker panic in the speculative front is contained: the
-    /// build completes, the counter records it, and the sample keeps every
-    /// bit of the healthy parallel run.
+    /// The format has no reader for older containers: a version-1 file is
+    /// refused before any sampler state is decoded.
     #[test]
-    fn speculation_panic_is_contained_bit_identically() {
-        let d = GeolifeGenerator::with_size(6_000, 13).generate();
-        let base = VasConfig::new(100).with_threads(2);
-        let mut src = vas_stream::DatasetSource::with_chunk_size(&d, 512);
-        let healthy = VasSampler::new(base.clone())
-            .build_from_source(&mut src)
+    fn version_1_checkpoint_is_unsupported() {
+        let d = GeolifeGenerator::with_size(1_000, 5).generate();
+        let config = VasConfig::new(40);
+        let path = temp_checkpoint("v1");
+        let policy = CheckpointPolicy::every(&path, 1).halting_after(2);
+        let mut src = vas_stream::DatasetSource::with_chunk_size(&d, 256);
+        VasSampler::new(config.clone())
+            .build_from_source_checkpointed(&mut src, &policy)
             .unwrap();
-
-        let mut faulty_sampler = VasSampler::new(base.with_injected_speculation_panic(0));
-        // Quiet the injected panic's default stderr backtrace for this
-        // scope; containment is observable through the counter.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let mut src = vas_stream::DatasetSource::with_chunk_size(&d, 512);
-        let faulty = faulty_sampler.build_from_source(&mut src).unwrap();
-        std::panic::set_hook(prev);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = VasSampler::resume_from_checkpoint(&path, config).unwrap_err();
+        std::fs::remove_file(&path).ok();
         assert!(
-            faulty_sampler.contained_worker_panics() >= 1,
-            "injected panic was never contained (speculation may not have run)"
+            matches!(err, VasError::UnsupportedVersion { found: 1, .. }),
+            "{err}"
         );
-        assert_samples_bit_equal(&faulty, &healthy, "panic containment");
     }
 
     proptest::proptest! {

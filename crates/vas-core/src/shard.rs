@@ -13,15 +13,15 @@
 //! ## Determinism contract
 //!
 //! For a fixed shard count `S`, a sharded build is **bit-identical** across
-//! thread counts, chunk sizes, queue depths, and the in-memory vs streaming
-//! entry points — the same contract every other path in this workspace
+//! worker scheduling, chunk sizes, queue depths, and the in-memory vs
+//! streaming entry points — the same contract every other path in this workspace
 //! honours, pinned in `tests/determinism.rs`. The pieces:
 //!
 //! * shard *assignment* is a stateless per-point function (chunking and
 //!   scheduling cannot move a point between shards),
 //! * each shard sampler observes exactly its sub-stream in stream order
 //!   (FIFO queues, one owner per sampler), and a sampler's output is
-//!   already chunk-boundary- and thread-count-invariant,
+//!   already chunk-boundary-invariant,
 //! * the merge consumes the shard samples in shard order on one thread.
 //!
 //! `S` itself is a **quality knob**, not a free parameter: different `S`
@@ -82,8 +82,8 @@ pub struct ShardedSampler {
 
 impl ShardedSampler {
     /// Creates a sharded driver over `shards` shards; every shard sampler
-    /// and the merge pass inherit `config` (strategy, backend, threads,
-    /// locality threshold), with only the budget and the resolved bandwidth
+    /// and the merge pass inherit `config` (strategy, backend, locality
+    /// threshold), with only the budget and the resolved bandwidth
     /// overridden per shard.
     ///
     /// # Panics
@@ -194,7 +194,7 @@ impl ShardedSampler {
     /// batch `b + 1` while workers evaluate batch `b` — see
     /// [`vas_par::scatter_ordered`]). Bit-identical to
     /// [`build_sharded`](Self::build_sharded) over the equivalent in-memory
-    /// dataset, at any queue depth, chunk size, or thread count.
+    /// dataset, at any queue depth or chunk size.
     pub fn build_sharded_from_source<S: PointSource>(
         &mut self,
         source: &mut S,

@@ -12,19 +12,19 @@
 //! file when a fatal path fires.
 //!
 //! Every layer of the stack records through a cheap, cloneable [`Recorder`]
-//! handle: `vas-core`'s Interchange loop (fill vs candidate-eval vs
-//! accept-churn vs speculation-replay phases, accepts/rejects/kernel lanes,
-//! checkpoint write/resume events), `vas-stream` (chunk decode and prefetch
-//! latency, retries absorbed, CRC failures, corruption skips), `vas-par`
-//! (worker busy time, read-ahead channel occupancy, contained panics) and
-//! `vas-storage` (per-K catalog build times, persist commit events).
+//! handle: `vas-core`'s Interchange loop (fill vs candidate-eval phases,
+//! accepts/rejects/kernel lanes, checkpoint write/resume events, shard fill
+//! and merge), `vas-stream` (chunk decode and prefetch latency, retries
+//! absorbed, CRC failures, corruption skips), `vas-par` (worker busy time,
+//! read-ahead channel occupancy, contained panics) and `vas-storage` (per-K
+//! catalog build times, persist commit events).
 //!
 //! ## The off-the-data-path determinism rule
 //!
 //! The workspace's load-bearing contract is **bit-identical determinism**
-//! (`tests/determinism.rs` pins every backend and thread count to the same
-//! sample, bit for bit). Instrumentation must therefore never sit *on* the
-//! data path:
+//! (`tests/determinism.rs` pins every backend, chunking and shard fan-out to
+//! the same sample, bit for bit). Instrumentation must therefore never sit
+//! *on* the data path:
 //!
 //! * **No measured value may influence sampled state.** Counters, timers and
 //!   journal entries are write-only from the algorithm's point of view —

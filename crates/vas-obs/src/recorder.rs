@@ -174,7 +174,7 @@ impl Recorder {
     }
 
     /// Opens a span under an explicit [`SpanContext`] — the cross-thread
-    /// propagation entry point (`vas-par` workers, the speculation front).
+    /// propagation entry point (`vas-par` workers).
     #[inline]
     pub fn span_under(&self, name: &'static str, parent: Option<SpanContext>) -> SpanGuard {
         match &self.tracer {

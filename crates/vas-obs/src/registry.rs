@@ -22,8 +22,6 @@ pub enum Counter {
     CoreRejects,
     /// Kernel-evaluation lanes swept by the batched SoA path.
     CoreKernelLanes,
-    /// Speculation worker panics contained by the sequential fallback.
-    CoreContainedWorkerPanics,
     /// Checkpoints written by `run_checkpointed`.
     CoreCheckpointWrites,
     /// Builds resumed from a checkpoint.
@@ -59,11 +57,10 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 17] = [
         Counter::CoreAccepts,
         Counter::CoreRejects,
         Counter::CoreKernelLanes,
-        Counter::CoreContainedWorkerPanics,
         Counter::CoreCheckpointWrites,
         Counter::CoreCheckpointResumes,
         Counter::StreamChunksDecoded,
@@ -89,7 +86,6 @@ impl Counter {
             Counter::CoreAccepts => "core_accepts",
             Counter::CoreRejects => "core_rejects",
             Counter::CoreKernelLanes => "core_kernel_lanes",
-            Counter::CoreContainedWorkerPanics => "core_contained_worker_panics",
             Counter::CoreCheckpointWrites => "core_checkpoint_writes",
             Counter::CoreCheckpointResumes => "core_checkpoint_resumes",
             Counter::StreamChunksDecoded => "stream_chunks_decoded",
@@ -111,13 +107,12 @@ impl Counter {
     /// counter.
     ///
     /// Mirrors `VasSampler::reset()`: per-build tallies (accepts, rejects,
-    /// kernel lanes) start over with each build, while sampler-lifetime
-    /// health counters — `CoreContainedWorkerPanics` foremost, matching the
-    /// long-standing carve-out — and every non-core layer's counters
-    /// survive. The shard aggregates (`CoreShardAccepts`/`CoreShardRejects`)
-    /// also survive: shard workers share one registry and each worker's
-    /// finalize resets the per-build pair, so the sharded path accumulates
-    /// into these lifetime counters *after* each worker finishes.
+    /// kernel lanes) start over with each build, while the lifetime checkpoint
+    /// counters and every non-core layer's counters survive. The shard
+    /// aggregates (`CoreShardAccepts`/`CoreShardRejects`) also survive: shard
+    /// workers share one registry and each worker's finalize resets the
+    /// per-build pair, so the sharded path accumulates into these lifetime
+    /// counters *after* each worker finishes.
     pub fn resets_with_build(self) -> bool {
         matches!(
             self,
@@ -137,14 +132,9 @@ impl Counter {
 pub enum Phase {
     /// Interchange fill phase (first K points streamed in).
     Fill,
-    /// Candidate evaluation (speculative pre-evaluation fan-out or the
-    /// sequential delta loop), per chunk batch.
+    /// Candidate evaluation (the Expand/Shrink test of every candidate and
+    /// any accepted replacement), per chunk.
     CandidateEval,
-    /// Accept churn: applying a replacement to sample + index + tracker.
-    AcceptChurn,
-    /// Replaying speculatively pre-evaluated candidates against the live
-    /// sample state.
-    SpeculationReplay,
     /// Decoding one chunk from a `.vaschunk` spill.
     ChunkDecode,
     /// Consumer-side wait on the prefetch read-ahead channel.
@@ -165,11 +155,9 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in export order.
-    pub const ALL: [Phase; 11] = [
+    pub const ALL: [Phase; 9] = [
         Phase::Fill,
         Phase::CandidateEval,
-        Phase::AcceptChurn,
-        Phase::SpeculationReplay,
         Phase::ChunkDecode,
         Phase::PrefetchWait,
         Phase::WorkerTask,
@@ -187,8 +175,6 @@ impl Phase {
         match self {
             Phase::Fill => "fill",
             Phase::CandidateEval => "candidate_eval",
-            Phase::AcceptChurn => "accept_churn",
-            Phase::SpeculationReplay => "speculation_replay",
             Phase::ChunkDecode => "chunk_decode",
             Phase::PrefetchWait => "prefetch_wait",
             Phase::WorkerTask => "worker_task",
@@ -360,7 +346,7 @@ impl MetricsRegistry {
     }
 
     /// Zeroes the per-build counters (see [`Counter::resets_with_build`]);
-    /// everything else — `CoreContainedWorkerPanics` foremost — survives.
+    /// everything else survives.
     /// Called by `VasSampler::reset()` so registry-backed getters keep the
     /// exact semantics the plain-field counters had.
     pub fn reset_build_counters(&self) {
@@ -404,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn build_reset_mirrors_the_contained_panics_carve_out() {
+    fn build_reset_keeps_lifetime_counters() {
         let r = MetricsRegistry::new();
         for c in Counter::ALL {
             r.inc(c, 7);
@@ -413,9 +399,7 @@ mod tests {
         assert_eq!(r.get(Counter::CoreAccepts), 0);
         assert_eq!(r.get(Counter::CoreRejects), 0);
         assert_eq!(r.get(Counter::CoreKernelLanes), 0);
-        // The sampler-lifetime health counter and every non-core layer
-        // survive, exactly like the plain-field implementation did.
-        assert_eq!(r.get(Counter::CoreContainedWorkerPanics), 7);
+        // Lifetime core counters and every non-core layer survive.
         assert_eq!(r.get(Counter::CoreCheckpointWrites), 7);
         assert_eq!(r.get(Counter::StreamRetriesAbsorbed), 7);
         assert_eq!(r.get(Counter::StoragePersistCommits), 7);

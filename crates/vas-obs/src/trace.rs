@@ -4,8 +4,8 @@
 //! Where the [`crate::MetricsRegistry`] answers *how much* and *how often*,
 //! a trace answers *why*: one `build_from_source` produces a tree of
 //! [`SpanRecord`]s — the build root, its per-chunk fill/candidate-eval
-//! phases, the speculation workers fanned out under each candidate batch,
-//! and the chunk decodes running ahead on the `vas-par` read-ahead thread —
+//! phases, the shard workers a sharded build fans out, and the chunk
+//! decodes running ahead on the `vas-par` read-ahead thread —
 //! every span carrying its parent's id, so the timeline reconstructs the
 //! causal chain across thread boundaries.
 //!
@@ -14,9 +14,8 @@
 //! A new span resolves its parent in three steps, first match wins:
 //!
 //! 1. **Explicit** — a [`SpanContext`] captured on the consumer thread and
-//!    handed across a fan-out boundary (the `vas-par` combinators and the
-//!    speculative pre-evaluation front do this), provided it belongs to the
-//!    same tracer.
+//!    handed across a fan-out boundary (the `vas-par` combinators do
+//!    this), provided it belongs to the same tracer.
 //! 2. **Implicit** — the innermost open span *on the current thread* of the
 //!    same tracer (a thread-local stack, so nested guards on one thread
 //!    form a chain for free).

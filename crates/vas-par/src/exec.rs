@@ -209,8 +209,8 @@ where
 /// One or more workers of a contained fan-out panicked.
 ///
 /// Returned by [`try_par_map_ordered`] instead of re-raising the panic, so
-/// callers can degrade to a sequential fallback (the pattern the Interchange
-/// speculation front uses) rather than unwind the whole build.
+/// callers can degrade to a sequential fallback rather than unwind the whole
+/// build.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerPanic {
     /// How many workers (including the calling thread's own stripe)

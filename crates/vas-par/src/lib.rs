@@ -3,12 +3,15 @@
 //! The deterministic parallel execution substrate of the VAS reproduction.
 //!
 //! Every hot loop in this workspace lives under a hard contract pinned by
-//! `tests/determinism.rs`: the same input stream must produce **bit-identical**
-//! output, run to run, thread count to thread count. That rules out the usual
-//! "throw rayon at it" approach twice over — the build environment cannot
-//! vendor rayon, and work-stealing reductions fold results in a
-//! scheduling-dependent order, which changes floating-point sums by an ulp and
-//! the sampler's replacement decisions with them.
+//! `tests/determinism.rs`: the same input stream must produce
+//! **bit-identical** output, run to run, thread count to thread count. That
+//! rules out the usual "throw rayon at it" approach twice over — the build
+//! environment cannot vendor rayon, and work-stealing reductions fold results
+//! in a scheduling-dependent order, which changes floating-point sums by an
+//! ulp and the sampler's replacement decisions with them. Interchange itself
+//! is one sequential hill climb; what runs in parallel is the shard fan-out,
+//! the catalog ladder, the chunk read-ahead and the embarrassingly parallel
+//! loss/density loops.
 //!
 //! This crate supplies the two primitives the rest of the workspace
 //! parallelizes with instead, both built directly on [`std::thread`]:
@@ -34,11 +37,11 @@
 //!
 //! Workers are **scoped**: they are spawned inside each combinator call via
 //! [`std::thread::scope`] and joined before it returns, so closures may borrow
-//! from the caller's stack (the Interchange pre-evaluation workers share the
-//! live spatial index by reference). A persistent pool would require either
-//! `'static` tasks or `unsafe` lifetime erasure; the workspace forbids
-//! `unsafe`, and thread spawn cost (~10µs) is noise at the chunk granularity
-//! (thousands of points) every caller fans out at.
+//! from the caller's stack (the loss estimator's probe workers share the
+//! dataset and its spatial index by reference). A persistent pool would
+//! require either `'static` tasks or `unsafe` lifetime erasure; the workspace
+//! forbids `unsafe`, and thread spawn cost (~10µs) is noise at the chunk
+//! granularity (thousands of points) every caller fans out at.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

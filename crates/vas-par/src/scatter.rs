@@ -10,10 +10,8 @@
 //! Unlike the barrier-style combinators in [`crate::exec`], the stages here
 //! are *free-running*: the producer decodes and routes batch `b + 1` while
 //! workers are still applying batch `b` — the queue depth is the only
-//! coupling. This retires the long-standing pipelining gap of the chunked
-//! read-ahead path, where the consumer and the pre-evaluation front advanced
-//! in lock-step per batch: here nothing ever waits at a batch boundary
-//! unless a queue is full (back-pressure) or empty (starvation).
+//! coupling: nothing ever waits at a batch boundary unless a queue is full
+//! (back-pressure) or empty (starvation).
 //!
 //! Determinism is preserved by construction: each channel is FIFO and each
 //! consumer is owned by exactly one worker, so consumer `i` observes exactly

@@ -18,6 +18,7 @@
 //! live entries. Queries stay correct at every moment; the rebuild schedule
 //! only affects the constant factor.
 
+use crate::locality::same_point;
 use crate::{snapshot, LocalityIndex};
 use vas_data::{BoundingBox, Point};
 
@@ -143,7 +144,7 @@ impl KdTree {
         if let Some(pos) = self
             .overflow
             .iter()
-            .position(|(eid, ep)| *eid == id && ep == point)
+            .position(|(eid, ep)| *eid == id && same_point(ep, point))
         {
             self.overflow.remove(pos);
             return true;
@@ -157,7 +158,7 @@ impl KdTree {
     /// visiting both subtrees.
     fn find_entry(&self, node: &KdNode, id: usize, point: &Point) -> Option<usize> {
         let (eid, ep) = self.entries[node.entry];
-        if !self.removed[node.entry] && eid == id && ep == *point {
+        if !self.removed[node.entry] && eid == id && same_point(&ep, point) {
             return Some(node.entry);
         }
         let (pc, nc) = if node.axis == 0 {

@@ -31,6 +31,15 @@
 use crate::{snapshot, GridOccupancy, HashGrid, KdTree, RTree};
 use vas_data::Point;
 
+/// Whether `a` and `b` are the same stored entry point, bit for bit. Entry
+/// matching must not use `Point`'s `==`: a NaN `value` never equals itself,
+/// which would leave such an entry in the index forever.
+pub(crate) fn same_point(a: &Point, b: &Point) -> bool {
+    a.x.to_bits() == b.x.to_bits()
+        && a.y.to_bits() == b.y.to_bits()
+        && a.value.to_bits() == b.value.to_bits()
+}
+
 /// Reusable struct-of-arrays scratch for batch-gather neighbourhood queries
 /// ([`LocalityIndex::gather_in_radius_into`]).
 ///
@@ -82,10 +91,9 @@ impl NeighborBatch {
 /// multiset); [`remove`](Self::remove) deletes one matching entry.
 ///
 /// `Send + Sync` are supertraits: the parallel execution subsystem shares a
-/// frozen index snapshot across scoped worker threads (the Interchange
-/// speculative pre-evaluation front, the loss estimator's probe fan-out), so
-/// a backend must be safe to reference concurrently while no `&mut` method
-/// runs. Every backend here is plain owned data with no interior
+/// frozen index across scoped worker threads (the loss estimator's probe
+/// fan-out), so a backend must be safe to reference concurrently while no
+/// `&mut` method runs. Every backend here is plain owned data with no interior
 /// mutability, so the bounds are automatic.
 pub trait LocalityIndex: Send + Sync {
     /// Number of stored entries.
@@ -424,6 +432,23 @@ mod tests {
         assert_send_sync::<crate::KdTree>();
         assert_send_sync::<crate::HashGrid>();
         assert_send_sync::<AnyLocalityIndex>();
+    }
+
+    #[test]
+    fn entries_with_a_nan_value_can_be_removed() {
+        for backend in LocalityBackend::ALL {
+            let mut index = AnyLocalityIndex::new(backend);
+            index.reset(1.0);
+            let pts = random_points(64, 4);
+            for (i, p) in pts.iter().enumerate() {
+                index.insert(i, Point::with_value(p.x, p.y, f64::NAN));
+            }
+            for (i, p) in pts.iter().enumerate() {
+                let p = Point::with_value(p.x, p.y, f64::NAN);
+                assert!(index.remove(i, &p), "{backend}: entry {i} not removed");
+            }
+            assert_eq!(index.len(), 0, "{backend}");
+        }
     }
 
     #[test]

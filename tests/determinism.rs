@@ -280,13 +280,11 @@ fn streaming_pipeline_end_to_end_is_deterministic() {
 
 #[test]
 fn parallel_pipeline_is_bit_identical_to_sequential_build_per_backend() {
-    // The PR 5 contract: the deterministic parallel execution subsystem —
-    // pipelined chunk read-ahead (`PrefetchSource`) feeding the speculative
-    // kernel pre-evaluation front (`VasConfig::with_threads`) — must
-    // reproduce the sequential `build()` bit-for-bit at 1, 2 and 4 threads,
-    // on every locality backend. The kernel bandwidth is left unset so the
-    // streaming ε-resolution pre-pass runs through the prefetch pipeline
-    // too.
+    // Pipelined chunk read-ahead (`PrefetchSource`, a producer thread
+    // decoding ahead of the sampler) must reproduce the sequential `build()`
+    // bit-for-bit on every locality backend. The kernel bandwidth is left
+    // unset so the streaming ε-resolution pre-pass runs through the prefetch
+    // pipeline too.
     let data = GeolifeGenerator::with_size(10_000, 21).generate();
     let path = std::env::temp_dir().join(format!(
         "vas-determinism-par-{}.vaschunk",
@@ -297,18 +295,16 @@ fn parallel_pipeline_is_bit_identical_to_sequential_build_per_backend() {
     for backend in LocalityBackend::ALL {
         let config = VasConfig::new(300).with_locality_backend(backend);
         let reference = VasSampler::from_dataset(&data, config.clone()).build(&data);
-        for threads in [1usize, 2, 4] {
-            let reader = ChunkedReader::open(&path).unwrap();
-            let mut source = vas::stream::PrefetchSource::new(reader);
-            let streamed = VasSampler::new(config.clone().with_threads(threads))
-                .build_from_source(&mut source)
-                .unwrap();
-            assert_points_bitwise_equal(
-                &streamed.points,
-                &reference.points,
-                &format!("prefetch + pre-eval at {threads} threads vs build ({backend})"),
-            );
-        }
+        let reader = ChunkedReader::open(&path).unwrap();
+        let mut source = vas::stream::PrefetchSource::new(reader);
+        let streamed = VasSampler::new(config)
+            .build_from_source(&mut source)
+            .unwrap();
+        assert_points_bitwise_equal(
+            &streamed.points,
+            &reference.points,
+            &format!("prefetch vs build ({backend})"),
+        );
     }
     std::fs::remove_file(path).ok();
 }
@@ -319,22 +315,18 @@ fn batched_kernel_path_is_bit_identical_to_the_scalar_path_per_backend() {
     // neighbourhood lanes + `eval_dist2_batch` sweeps, the default) must
     // reproduce the point-at-a-time scalar path (retained behind
     // `VasConfig::with_scalar_kernel_path`) bit-for-bit — on every locality
-    // backend, at 1, 2 and 4 worker threads (the speculative pre-evaluation
-    // workers batch too), and for the dense `ExpandShrink` strategy.
+    // backend, and for the dense `ExpandShrink` strategy.
     let data = GeolifeGenerator::with_size(10_000, 21).generate();
     for backend in LocalityBackend::ALL {
         let config = VasConfig::new(300).with_locality_backend(backend);
         let scalar = VasSampler::from_dataset(&data, config.clone().with_scalar_kernel_path(true))
             .build(&data);
-        for threads in [1usize, 2, 4] {
-            let mut sampler = VasSampler::from_dataset(&data, config.clone().with_threads(threads));
-            let batched = sampler.build(&data);
-            assert_points_bitwise_equal(
-                &batched.points,
-                &scalar.points,
-                &format!("batched vs scalar kernel path ({backend}, {threads} threads)"),
-            );
-        }
+        let batched = VasSampler::from_dataset(&data, config).build(&data);
+        assert_points_bitwise_equal(
+            &batched.points,
+            &scalar.points,
+            &format!("batched vs scalar kernel path ({backend})"),
+        );
     }
     let es = VasConfig::new(300).with_strategy(InterchangeStrategy::ExpandShrink);
     let scalar =
@@ -460,14 +452,13 @@ fn catalog_ladder_is_bit_identical_to_building_each_rung_in_turn() {
 }
 
 #[test]
-fn kill_and_resume_is_bit_identical_per_backend_and_thread_count() {
+fn kill_and_resume_is_bit_identical_per_backend() {
     // The PR 7 contract: a streaming build killed at *any* chunk boundary
     // and resumed from its `.vascheckpt` must reproduce the uninterrupted
-    // sample bit for bit — on every locality backend, at 1, 2 and 4 worker
-    // threads (the resumed run re-enters the speculative pre-evaluation
-    // front mid-stream). The checkpoint carries a byte-exact snapshot of the
-    // locality index, so the restored index's future visitation order — and
-    // with it every accept/reject decision — is exactly the original's.
+    // sample bit for bit — on every locality backend. The checkpoint
+    // carries a byte-exact snapshot of the locality index, so the restored
+    // index's future visitation order — and with it every accept/reject
+    // decision — is exactly the original's.
     let data = GeolifeGenerator::with_size(10_000, 21).generate();
     let path = std::env::temp_dir().join(format!(
         "vas-determinism-ckpt-{}.vaschunk",
@@ -476,45 +467,42 @@ fn kill_and_resume_is_bit_identical_per_backend_and_thread_count() {
     spill_dataset(&data, &path, 1_024).unwrap();
 
     for backend in LocalityBackend::ALL {
-        let base = VasConfig::new(300).with_locality_backend(backend);
+        let config = VasConfig::new(300).with_locality_backend(backend);
         let reference = {
             let mut reader = ChunkedReader::open(&path).unwrap();
-            VasSampler::new(base.clone())
+            VasSampler::new(config.clone())
                 .build_from_source(&mut reader)
                 .unwrap()
         };
-        for threads in [1usize, 2, 4] {
-            let config = base.clone().with_threads(threads);
-            for kill_after in [1u64, 4, 8] {
-                let ckpt = std::env::temp_dir().join(format!(
-                    "vas-determinism-{}-{backend}-{threads}-{kill_after}.vascheckpt",
-                    std::process::id()
-                ));
-                let policy = CheckpointPolicy::every(&ckpt, 1).halting_after(kill_after);
-                let mut reader = ChunkedReader::open(&path).unwrap();
-                let outcome = VasSampler::new(config.clone())
-                    .build_from_source_checkpointed(&mut reader, &policy)
-                    .unwrap();
-                assert!(
-                    outcome.is_halted(),
-                    "kill switch did not fire ({backend}, {threads} threads, kill {kill_after})"
-                );
-
-                let mut reader = ChunkedReader::open(&path).unwrap();
-                let (_, outcome) = VasSampler::resume_build_from_source(
-                    config.clone(),
-                    &mut reader,
-                    &CheckpointPolicy::every(&ckpt, 1),
-                )
+        for kill_after in [1u64, 4, 8] {
+            let ckpt = std::env::temp_dir().join(format!(
+                "vas-determinism-{}-{backend}-{kill_after}.vascheckpt",
+                std::process::id()
+            ));
+            let policy = CheckpointPolicy::every(&ckpt, 1).halting_after(kill_after);
+            let mut reader = ChunkedReader::open(&path).unwrap();
+            let outcome = VasSampler::new(config.clone())
+                .build_from_source_checkpointed(&mut reader, &policy)
                 .unwrap();
-                let resumed = outcome.into_sample().expect("resumed build completes");
-                assert_points_bitwise_equal(
-                    &resumed.points,
-                    &reference.points,
-                    &format!("kill-and-resume ({backend}, {threads} threads, kill {kill_after})"),
-                );
-                std::fs::remove_file(&ckpt).ok();
-            }
+            assert!(
+                outcome.is_halted(),
+                "kill switch did not fire ({backend}, kill {kill_after})"
+            );
+
+            let mut reader = ChunkedReader::open(&path).unwrap();
+            let (_, outcome) = VasSampler::resume_build_from_source(
+                config.clone(),
+                &mut reader,
+                &CheckpointPolicy::every(&ckpt, 1),
+            )
+            .unwrap();
+            let resumed = outcome.into_sample().expect("resumed build completes");
+            assert_points_bitwise_equal(
+                &resumed.points,
+                &reference.points,
+                &format!("kill-and-resume ({backend}, kill {kill_after})"),
+            );
+            std::fs::remove_file(&ckpt).ok();
         }
     }
     std::fs::remove_file(path).ok();
@@ -525,9 +513,9 @@ fn instrumented_build_is_bit_identical_to_the_uninstrumented_build() {
     // The PR 8 contract: observability is off the data path. A build with a
     // fully attached recorder — live registry, event journal, phase timers,
     // instrumented reader and prefetch pipeline — must reproduce the
-    // detached-recorder build bit-for-bit, on every locality backend at 1, 2
-    // and 4 worker threads. The kernel bandwidth is left unset so the
-    // ε-resolution pre-pass streams through the instrumented stack too.
+    // detached-recorder build bit-for-bit, on every locality backend. The
+    // kernel bandwidth is left unset so the ε-resolution pre-pass streams
+    // through the instrumented stack too.
     let data = GeolifeGenerator::with_size(10_000, 21).generate();
     let path = std::env::temp_dir().join(format!(
         "vas-determinism-obs-{}.vaschunk",
@@ -536,54 +524,48 @@ fn instrumented_build_is_bit_identical_to_the_uninstrumented_build() {
     spill_dataset(&data, &path, 1_024).unwrap();
 
     for backend in LocalityBackend::ALL {
-        let base = VasConfig::new(300).with_locality_backend(backend);
-        for threads in [1usize, 2, 4] {
-            let config = base.clone().with_threads(threads);
-            let uninstrumented = {
-                let reader = ChunkedReader::open(&path).unwrap();
-                let mut source = vas::stream::PrefetchSource::new(reader);
-                VasSampler::new(config.clone())
-                    .build_from_source(&mut source)
-                    .unwrap()
-            };
-            let registry = std::sync::Arc::new(MetricsRegistry::new());
-            let journal = std::sync::Arc::new(Journal::in_memory());
-            let recorder = Recorder::new(std::sync::Arc::clone(&registry))
-                .with_journal(std::sync::Arc::clone(&journal))
-                .with_timing(true);
-            let instrumented = {
-                let reader = ChunkedReader::open(&path)
-                    .unwrap()
-                    .with_recorder(recorder.clone());
-                let mut source =
-                    vas::stream::PrefetchSource::new(reader).with_recorder(recorder.clone());
-                VasSampler::new(config)
-                    .with_recorder(recorder.clone())
-                    .build_from_source(&mut source)
-                    .unwrap()
-            };
-            assert_points_bitwise_equal(
-                &instrumented.points,
-                &uninstrumented.points,
-                &format!("instrumented vs uninstrumented build ({backend}, {threads} threads)"),
-            );
-            // The instrumentation must actually have been live. Build-scoped
-            // counters (accepts, rejects) reset when `finalize` ends the
-            // build, so the liveness probes are lifetime metrics: chunk
-            // decodes and the candidate-phase call histogram.
-            assert!(
-                registry.get(Counter::StreamChunksDecoded) > 0,
-                "no chunk decodes recorded ({backend}, {threads} threads)"
-            );
-            assert!(
-                registry.snapshot().phase_calls(Phase::CandidateEval) > 0,
-                "no candidate-phase timings recorded ({backend}, {threads} threads)"
-            );
-            assert!(
-                !journal.lines().is_empty(),
-                "journal is empty ({backend}, {threads} threads)"
-            );
-        }
+        let config = VasConfig::new(300).with_locality_backend(backend);
+        let uninstrumented = {
+            let reader = ChunkedReader::open(&path).unwrap();
+            let mut source = vas::stream::PrefetchSource::new(reader);
+            VasSampler::new(config.clone())
+                .build_from_source(&mut source)
+                .unwrap()
+        };
+        let registry = std::sync::Arc::new(MetricsRegistry::new());
+        let journal = std::sync::Arc::new(Journal::in_memory());
+        let recorder = Recorder::new(std::sync::Arc::clone(&registry))
+            .with_journal(std::sync::Arc::clone(&journal))
+            .with_timing(true);
+        let instrumented = {
+            let reader = ChunkedReader::open(&path)
+                .unwrap()
+                .with_recorder(recorder.clone());
+            let mut source =
+                vas::stream::PrefetchSource::new(reader).with_recorder(recorder.clone());
+            VasSampler::new(config)
+                .with_recorder(recorder.clone())
+                .build_from_source(&mut source)
+                .unwrap()
+        };
+        assert_points_bitwise_equal(
+            &instrumented.points,
+            &uninstrumented.points,
+            &format!("instrumented vs uninstrumented build ({backend})"),
+        );
+        // The instrumentation must actually have been live. Build-scoped
+        // counters (accepts, rejects) reset when `finalize` ends the
+        // build, so the liveness probes are lifetime metrics: chunk
+        // decodes and the candidate-phase call histogram.
+        assert!(
+            registry.get(Counter::StreamChunksDecoded) > 0,
+            "no chunk decodes recorded ({backend})"
+        );
+        assert!(
+            registry.snapshot().phase_calls(Phase::CandidateEval) > 0,
+            "no candidate-phase timings recorded ({backend})"
+        );
+        assert!(!journal.lines().is_empty(), "journal is empty ({backend})");
     }
     std::fs::remove_file(path).ok();
 }
@@ -595,7 +577,7 @@ fn traced_build_is_bit_identical_to_the_detached_build() {
     // too. A build with the *entire* observability stack attached (registry,
     // journal, timers, tracer, flight ring, instrumented reader and prefetch
     // pipeline) must reproduce the detached-recorder build bit-for-bit, on
-    // every locality backend at 1, 2 and 4 worker threads.
+    // every locality backend.
     let data = GeolifeGenerator::with_size(10_000, 23).generate();
     let path = std::env::temp_dir().join(format!(
         "vas-determinism-trace-{}.vaschunk",
@@ -604,69 +586,60 @@ fn traced_build_is_bit_identical_to_the_detached_build() {
     spill_dataset(&data, &path, 1_024).unwrap();
 
     for backend in LocalityBackend::ALL {
-        let base = VasConfig::new(300).with_locality_backend(backend);
-        for threads in [1usize, 2, 4] {
-            let config = base.clone().with_threads(threads);
-            let detached = {
-                let reader = ChunkedReader::open(&path).unwrap();
-                let mut source = vas::stream::PrefetchSource::new(reader);
-                VasSampler::new(config.clone())
-                    .build_from_source(&mut source)
-                    .unwrap()
-            };
-            let tracer = std::sync::Arc::new(Tracer::new());
-            let flight = std::sync::Arc::new(FlightRecorder::new());
-            let recorder = Recorder::new(std::sync::Arc::new(MetricsRegistry::new()))
-                .with_journal(std::sync::Arc::new(Journal::in_memory()))
-                .with_timing(true)
-                .with_tracer(std::sync::Arc::clone(&tracer))
-                .with_flight(std::sync::Arc::clone(&flight));
-            let traced = {
-                let reader = ChunkedReader::open(&path)
-                    .unwrap()
-                    .with_recorder(recorder.clone());
-                let mut source =
-                    vas::stream::PrefetchSource::new(reader).with_recorder(recorder.clone());
-                VasSampler::new(config)
-                    .with_recorder(recorder.clone())
-                    .build_from_source(&mut source)
-                    .unwrap()
-            };
-            assert_points_bitwise_equal(
-                &traced.points,
-                &detached.points,
-                &format!("traced vs detached build ({backend}, {threads} threads)"),
-            );
-            // The causal layer must actually have been live: spans recorded
-            // and mirrored into the flight ring, and the exported trace must
-            // survive its own parser.
-            assert!(
-                !tracer.is_empty(),
-                "no spans recorded ({backend}, {threads} threads)"
-            );
-            assert!(
-                !flight.is_empty(),
-                "flight ring is empty ({backend}, {threads} threads)"
-            );
-            let parsed =
-                parse_chrome_trace(&tracer.to_chrome_trace()).expect("exported trace must parse");
-            assert_eq!(
-                parsed.len(),
-                tracer.spans().len(),
-                "trace round trip lost spans ({backend}, {threads} threads)"
-            );
-        }
+        let config = VasConfig::new(300).with_locality_backend(backend);
+        let detached = {
+            let reader = ChunkedReader::open(&path).unwrap();
+            let mut source = vas::stream::PrefetchSource::new(reader);
+            VasSampler::new(config.clone())
+                .build_from_source(&mut source)
+                .unwrap()
+        };
+        let tracer = std::sync::Arc::new(Tracer::new());
+        let flight = std::sync::Arc::new(FlightRecorder::new());
+        let recorder = Recorder::new(std::sync::Arc::new(MetricsRegistry::new()))
+            .with_journal(std::sync::Arc::new(Journal::in_memory()))
+            .with_timing(true)
+            .with_tracer(std::sync::Arc::clone(&tracer))
+            .with_flight(std::sync::Arc::clone(&flight));
+        let traced = {
+            let reader = ChunkedReader::open(&path)
+                .unwrap()
+                .with_recorder(recorder.clone());
+            let mut source =
+                vas::stream::PrefetchSource::new(reader).with_recorder(recorder.clone());
+            VasSampler::new(config)
+                .with_recorder(recorder.clone())
+                .build_from_source(&mut source)
+                .unwrap()
+        };
+        assert_points_bitwise_equal(
+            &traced.points,
+            &detached.points,
+            &format!("traced vs detached build ({backend})"),
+        );
+        // The causal layer must actually have been live: spans recorded
+        // and mirrored into the flight ring, and the exported trace must
+        // survive its own parser.
+        assert!(!tracer.is_empty(), "no spans recorded ({backend})");
+        assert!(!flight.is_empty(), "flight ring is empty ({backend})");
+        let parsed =
+            parse_chrome_trace(&tracer.to_chrome_trace()).expect("exported trace must parse");
+        assert_eq!(
+            parsed.len(),
+            tracer.spans().len(),
+            "trace round trip lost spans ({backend})"
+        );
     }
     std::fs::remove_file(path).ok();
 }
 
 #[test]
-fn sharded_build_is_bit_identical_across_threads_chunkings_and_s1_matches_unsharded() {
+fn sharded_build_is_bit_identical_across_chunkings_and_s1_matches_unsharded() {
     // The ISSUE 10 contract: sharded sampling is a *deterministic* scale-out.
     // For every locality backend and S ∈ {1, 2, 4}, `build_sharded` over the
     // in-memory dataset is the reference; the streamed
-    // `build_sharded_from_source` must reproduce it bit-for-bit at 1, 2 and
-    // 4 per-shard worker threads and across awkward chunk sizes (the shard
+    // `build_sharded_from_source` must reproduce it bit-for-bit across
+    // awkward chunk sizes (the shard
     // assignment is a pure per-point function, so how the stream is chunked
     // must not matter). At S = 1 the single shard carries the full budget
     // with no oversampling, so the whole pipeline must collapse to the plain
@@ -684,21 +657,18 @@ fn sharded_build_is_bit_identical_across_threads_chunkings_and_s1_matches_unshar
                     &format!("S = 1 sharded vs unsharded build ({backend})"),
                 );
             }
-            for threads in [1usize, 2, 4] {
-                for chunk in [613usize, 2_048] {
-                    let mut source = DatasetSource::with_chunk_size(&data, chunk);
-                    let streamed = ShardedSampler::new(base.clone().with_threads(threads), shards)
-                        .build_sharded_from_source(&mut source)
-                        .unwrap();
-                    assert_points_bitwise_equal(
-                        &streamed.points,
-                        &reference.points,
-                        &format!(
-                            "sharded stream vs in-memory \
-                             ({backend}, S = {shards}, {threads} threads, chunk {chunk})"
-                        ),
-                    );
-                }
+            for chunk in [613usize, 2_048] {
+                let mut source = DatasetSource::with_chunk_size(&data, chunk);
+                let streamed = ShardedSampler::new(base.clone(), shards)
+                    .build_sharded_from_source(&mut source)
+                    .unwrap();
+                assert_points_bitwise_equal(
+                    &streamed.points,
+                    &reference.points,
+                    &format!(
+                        "sharded stream vs in-memory ({backend}, S = {shards}, chunk {chunk})"
+                    ),
+                );
             }
         }
     }

@@ -1,21 +1,27 @@
-//! Acceptance tests for the causal span layer: one traced
-//! `build_from_source` must export a Chrome-trace JSON document whose span
-//! tree is complete — every vas-par / pre-evaluation `worker_task` span
-//! reaches the consuming build's root through its parent chain, and the
-//! read-ahead thread's decode spans parent under the same root — plus the
-//! flight recorder's post-mortem dump on the fatal path.
+//! Acceptance tests for the causal span layer: one traced build must
+//! export a Chrome-trace JSON document whose span tree is complete — every
+//! shard worker's `worker_task` span reaches the consuming build's root
+//! through its parent chain, and the read-ahead thread's decode spans parent
+//! under the same root — plus the flight recorder's post-mortem dump on the
+//! fatal path.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use vas::prelude::*;
 
-/// Builds a fully traced sampler run over a spilled chunked stream with the
-/// speculative pre-evaluation front (threads = 2) and read-ahead prefetch,
-/// returning the recorded spans.
-fn traced_build(n: usize, k: usize, threads: usize) -> Vec<SpanRecord> {
+/// Builds a fully traced run over a spilled chunked stream behind read-ahead
+/// prefetch — a `ShardedSampler` over `shards` shards, or the plain
+/// `VasSampler` when `shards` is `None` — returning the recorded spans and
+/// the sample.
+fn traced_build(
+    n: usize,
+    config: VasConfig,
+    shards: Option<usize>,
+    tag: &str,
+) -> (Vec<SpanRecord>, Vec<Point>) {
     let data = GeolifeGenerator::with_size(n, 31).generate();
     let path = std::env::temp_dir().join(format!(
-        "vas-tracing-accept-{}-{n}-{threads}.vaschunk",
+        "vas-tracing-accept-{}-{n}-{tag}.vaschunk",
         std::process::id()
     ));
     spill_dataset(&data, &path, 512).unwrap();
@@ -23,20 +29,26 @@ fn traced_build(n: usize, k: usize, threads: usize) -> Vec<SpanRecord> {
     let recorder = Recorder::new(Arc::new(MetricsRegistry::new()))
         .with_timing(true)
         .with_tracer(Arc::clone(&tracer));
-    {
+    let sample = {
         let reader = ChunkedReader::open(&path)
             .unwrap()
             .with_recorder(recorder.clone());
         let mut source = PrefetchSource::new(reader).with_recorder(recorder.clone());
-        VasSampler::new(VasConfig::new(k).with_threads(threads))
-            .with_recorder(recorder.clone())
-            .build_from_source(&mut source)
-            .unwrap();
-    }
+        match shards {
+            Some(shards) => ShardedSampler::new(config, shards)
+                .with_recorder(recorder.clone())
+                .build_sharded_from_source(&mut source),
+            None => VasSampler::new(config)
+                .with_recorder(recorder.clone())
+                .build_from_source(&mut source),
+        }
+        .unwrap()
+    };
     std::fs::remove_file(&path).ok();
     // The acceptance shape is asserted on the *exported* trace, so the
     // Chrome-trace encoder and parser are part of the contract.
-    parse_chrome_trace(&tracer.to_chrome_trace()).expect("exported trace parses")
+    let spans = parse_chrome_trace(&tracer.to_chrome_trace()).expect("exported trace parses");
+    (spans, sample.points)
 }
 
 /// Walks `span`'s parent chain to its root (bounded, in case of corruption).
@@ -56,10 +68,9 @@ fn root_of<'a>(
 
 #[test]
 fn traced_build_produces_a_complete_causal_tree() {
-    // Big enough n/k that the accept rate cools past the speculation gate
-    // (accept spacing >= the minimum pre-eval batch), so the parallel front
-    // actually fans out worker stripes.
-    let spans = traced_build(40_000, 150, 2);
+    // Two shards: the streaming sharded build fans out one persistent worker
+    // per shard, each on its own thread.
+    let (spans, _) = traced_build(40_000, VasConfig::new(150), Some(2), "sharded");
     assert!(!spans.is_empty(), "the traced build recorded no spans");
     let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
 
@@ -71,13 +82,13 @@ fn traced_build_produces_a_complete_causal_tree() {
         "expected one root span, got {:?}",
         roots.iter().map(|s| &s.name).collect::<Vec<_>>()
     );
-    assert_eq!(roots[0].name, "build_from_source");
+    assert_eq!(roots[0].name, "build_sharded_from_source");
 
-    // Every worker span parents (transitively) under that root — the
-    // speculative pre-eval front runs on spawned scope threads, so this is
-    // the cross-thread propagation contract.
+    // Every worker span parents (transitively) under that root — the shard
+    // workers run on spawned scope threads, so this is the cross-thread
+    // propagation contract.
     let workers: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "worker_task").collect();
-    assert!(!workers.is_empty(), "no worker_task spans were recorded");
+    assert!(workers.len() >= 2, "expected a worker_task span per shard");
     for w in &workers {
         assert!(w.parent.is_some(), "worker span {} has no parent", w.id);
         let root = root_of(w, &by_id).expect("worker parent chain resolves");
@@ -117,9 +128,8 @@ fn traced_build_produces_a_complete_causal_tree() {
 
 #[test]
 fn sequential_traced_build_has_no_foreign_roots() {
-    // With threads = 1 there is no speculation; the tree still has a single
-    // build root and no orphans.
-    let spans = traced_build(6_000, 200, 1);
+    // The unsharded build: a single build root and no orphans.
+    let (spans, _) = traced_build(6_000, VasConfig::new(200), None, "sequential");
     let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
     let roots: Vec<&SpanRecord> = spans.iter().filter(|s| s.parent.is_none()).collect();
     assert_eq!(roots.len(), 1);
@@ -132,6 +142,29 @@ fn sequential_traced_build_has_no_foreign_roots() {
             s.id, s.name
         );
     }
+}
+
+#[test]
+fn unsharded_build_runs_on_one_thread_whatever_with_threads_says() {
+    // Interchange is one sequential hill climb: `with_threads` is accepted
+    // and ignored, so the sample keeps the default build's bits and no
+    // worker fans out.
+    let (spans, points) = traced_build(40_000, VasConfig::new(150).with_threads(4), None, "t4");
+    let (_, reference) = traced_build(40_000, VasConfig::new(150), None, "t1");
+    assert_eq!(points.len(), reference.len());
+    for (i, (p, q)) in points.iter().zip(&reference).enumerate() {
+        assert!(
+            p.x.to_bits() == q.x.to_bits()
+                && p.y.to_bits() == q.y.to_bits()
+                && p.value.to_bits() == q.value.to_bits(),
+            "point {i} differs: {p:?} vs {q:?}"
+        );
+    }
+    let workers = spans.iter().filter(|s| s.name == "worker_task").count();
+    assert_eq!(
+        workers, 0,
+        "the unsharded build fanned out {workers} workers"
+    );
 }
 
 #[test]
