@@ -1,15 +1,16 @@
 //! Inner-loop throughput of the Interchange candidate (replacement-test)
-//! path: the optimized loop (tournament-tree Shrink + zero-allocation
+//! path: the optimized loop (cached-maximum Shrink + zero-allocation
 //! spatial queries) against the retained pre-optimization legacy loop,
 //! swept across every `LocalityIndex` backend, measured in the same run on
 //! the same stream.
 //!
 //! The figure of merit is **throughput on rejected-candidate tuples** — the
 //! overwhelmingly common case once the sample has converged, and the case
-//! the max-responsibility structure turns from `O(K)` into near-`O(1)`.
-//! The accepted-replacement path is tracked separately, with a micro-measured
-//! cost split (the two radius queries vs the index remove/insert churn) per
-//! backend.
+//! the cached maximum responsibility turns from `O(K)` into `O(1)`. An
+//! accept leaves that cache stale, so the next candidate pays one `O(K)`
+//! rescan. The accepted-replacement path is tracked separately, with a
+//! micro-measured cost split (the two radius queries vs the index
+//! remove/insert churn) per backend.
 //!
 //! Output: a human-readable table on stdout plus machine-readable
 //! `results/BENCH_interchange.json`, so the perf trajectory of this hot path

@@ -36,7 +36,6 @@
 
 use crate::checkpoint::{self, BuildOutcome, CheckpointPolicy};
 use crate::kernel::{GaussianKernel, Kernel};
-use crate::max_tracker::MaxTracker;
 use crate::objective::objective;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -241,13 +240,13 @@ pub struct VasSampler<L: LocalityIndex = AnyLocalityIndex> {
     /// Spatial index over the sample (ids are slot indices); only maintained
     /// by the locality strategy.
     index: L,
-    /// Tournament tree over `rsp`, giving the Shrink step its maximum in
-    /// `O(1)`; only maintained by the (non-legacy) locality strategy.
-    max_tracker: MaxTracker,
-    /// Whether `max_tracker` currently mirrors `rsp`. Cleared by every path
-    /// that mutates `rsp` without updating the tracker (fill, legacy loop,
-    /// naive rebuilds) and restored lazily on the next candidate.
-    tracker_fresh: bool,
+    /// [`argmax`] of `rsp`, the standing maximum the locality strategy's
+    /// Shrink step reads; valid only while `max_fresh` holds.
+    max_rsp: Option<(usize, f64)>,
+    /// Whether `max_rsp` mirrors `rsp`. Cleared by every path that mutates
+    /// `rsp` (fill, accepts, naive rebuilds) and restored lazily by the next
+    /// locality candidate, so a run of rejects rescans nothing.
+    max_fresh: bool,
     /// Reusable SoA gather scratch for the per-candidate neighbourhood query
     /// (`ids` lane-parallel to `dist2`), so the steady-state replacement test
     /// performs no allocation. The scalar path reuses its `ids` buffer too.
@@ -583,11 +582,6 @@ impl VasSampler {
                 ("points", (sampler.points.len() as u64).into()),
             ],
         );
-        // The tournament tree is a pure function of `rsp`; leaving it stale
-        // triggers the same lazy deterministic rebuild every other
-        // rsp-mutating path uses.
-        sampler.max_tracker = MaxTracker::new();
-        sampler.tracker_fresh = false;
         Ok((sampler, pass, chunks_consumed, source_name, chunk_capacity))
     }
 
@@ -734,8 +728,8 @@ impl<L: LocalityIndex> VasSampler<L> {
             points: Vec::new(),
             rsp: Vec::new(),
             index,
-            max_tracker: MaxTracker::new(),
-            tracker_fresh: false,
+            max_rsp: None,
+            max_fresh: false,
             gather: NeighborBatch::new(),
             scratch_vals: Vec::new(),
             objective: 0.0,
@@ -1117,7 +1111,7 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.rsp = vec![0.0; n];
         self.objective = 0.0;
         self.index.reset(self.cutoff);
-        self.tracker_fresh = false;
+        self.max_fresh = false;
         let use_locality = self.config.strategy == InterchangeStrategy::ExpandShrinkLocality;
         if use_locality {
             let mut neighbors: Vec<(usize, Point)> = Vec::new();
@@ -1169,7 +1163,7 @@ impl<L: LocalityIndex> VasSampler<L> {
             self.objective += own;
             self.points.push(point);
             self.rsp.push(own);
-            self.tracker_fresh = false;
+            self.max_fresh = false;
         } else {
             // Bandwidth not known yet: buffer and defer.
             self.points.push(point);
@@ -1210,7 +1204,8 @@ impl<L: LocalityIndex> VasSampler<L> {
             expanded_rsp[i] += v;
             expanded_rsp[k] += v;
         }
-        let (max_idx, _) = argmax(&expanded_rsp);
+        // An all-NaN expanded set (a NaN candidate) drops slot 0.
+        let max_idx = argmax(&expanded_rsp).map_or(0, |(i, _)| i);
         if max_idx == k {
             return; // the candidate itself is the most redundant: reject
         }
@@ -1223,17 +1218,7 @@ impl<L: LocalityIndex> VasSampler<L> {
             .map(|r| 2.0 * r)
             .collect();
         self.objective = objective(&kernel, &self.points);
-        self.tracker_fresh = false;
-    }
-
-    /// Rebuilds the max-responsibility tournament from `rsp` if a
-    /// non-tracking path (fill, naive, legacy) has touched `rsp` since the
-    /// tracker last mirrored it.
-    fn ensure_tracker(&mut self) {
-        if !self.tracker_fresh {
-            self.max_tracker.rebuild(&self.rsp);
-            self.tracker_fresh = true;
-        }
+        self.max_fresh = false;
     }
 
     /// "ES" without locality: incremental Expand/Shrink with a dense delta
@@ -1312,19 +1297,20 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.rsp[max_idx] = new_rsp;
         self.objective += new_rsp - removed_rsp;
         self.replacements += 1;
-        self.tracker_fresh = false;
+        self.max_fresh = false;
         self.gather = gather;
         self.scratch_vals = vals;
     }
 
-    /// "ES+Loc": Expand/Shrink with spatial-index locality **and** the
-    /// max-responsibility tournament.
+    /// "ES+Loc": Expand/Shrink with spatial-index locality and a cached
+    /// maximum responsibility.
     ///
     /// A rejected candidate — the overwhelmingly common case once the sample
-    /// has converged — costs only its neighbourhood kernel evaluations plus
-    /// an `O(1)` read of the tournament root: the `O(K)` Shrink scan of the
-    /// legacy loop is gone. An accepted candidate additionally pays
-    /// `O(log K)` per touched neighbour to repair the tournament.
+    /// has converged — costs only its `m` neighbourhood kernel evaluations
+    /// plus an `O(1)` read of the cached maximum. An accepted candidate
+    /// additionally updates its own and the removed point's neighbours and
+    /// leaves the cache stale, so the next candidate pays one `O(K)`
+    /// [`argmax`] rescan of `rsp`.
     fn candidate_es_locality(&mut self, point: Point) {
         let kernel = self.kernel.expect("kernel resolved");
 
@@ -1381,13 +1367,16 @@ impl<L: LocalityIndex> VasSampler<L> {
 
         // --- Shrink: the expanded-set maximum is either the candidate, a
         // neighbour slot raised by its delta, or the standing maximum over
-        // all base responsibilities — which the tournament hands over in
-        // O(1). Tie-breaking matches the legacy first-wins linear scan
-        // because the tournament resolves ties to the lowest index.
-        self.ensure_tracker();
+        // all base responsibilities, cached since the last accept. The
+        // legacy loop's first-wins scan keeps the lowest index of the
+        // largest non-NaN base value, which is exactly what `argmax` keeps.
+        if !self.max_fresh {
+            self.max_rsp = argmax(&self.rsp);
+            self.max_fresh = true;
+        }
         let mut max_idx = usize::MAX; // usize::MAX encodes "the candidate"
         let mut max_val = cand_rsp;
-        if let Some((i, r)) = self.max_tracker.max() {
+        if let Some((i, r)) = self.max_rsp {
             if r > max_val {
                 max_val = r;
                 max_idx = i;
@@ -1406,11 +1395,6 @@ impl<L: LocalityIndex> VasSampler<L> {
         }
 
         // --- Accept: replace slot `max_idx` ("s_j") with the candidate.
-        // Responsibility updates are written into the tournament lazily
-        // (`set_deferred`) and the dirtied ancestor matches are replayed once
-        // at the end (`flush`): one accept touches up to 2·|neighbourhood|
-        // slots whose paths overlap heavily, so the batched replay costs
-        // `O(D)` node matches instead of `O(D·log K)`.
         let removed = self.points[max_idx];
         let removed_rsp = self.rsp[max_idx];
 
@@ -1418,7 +1402,6 @@ impl<L: LocalityIndex> VasSampler<L> {
         for (&i, &v) in ids.iter().zip(vals) {
             if i != max_idx {
                 self.rsp[i] += v;
-                self.max_tracker.set_deferred(i, self.rsp[i]);
             }
         }
         // Subtract the removed element's contributions from its neighbours.
@@ -1429,16 +1412,10 @@ impl<L: LocalityIndex> VasSampler<L> {
             .unwrap_or_else(|| kernel.eval(&point, &removed));
         {
             let cutoff = self.cutoff;
-            let Self {
-                index,
-                rsp,
-                max_tracker,
-                ..
-            } = self;
+            let Self { index, rsp, .. } = self;
             index.for_each_in_radius_with_dist2(&removed, cutoff, |i, _, d2| {
                 if i != max_idx {
                     rsp[i] -= kernel.eval_dist2(d2);
-                    max_tracker.set_deferred(i, rsp[i]);
                 }
             });
         }
@@ -1448,8 +1425,7 @@ impl<L: LocalityIndex> VasSampler<L> {
         let new_rsp = cand_rsp - kappa_t_removed;
         self.points[max_idx] = point;
         self.rsp[max_idx] = new_rsp;
-        self.max_tracker.set_deferred(max_idx, new_rsp);
-        self.max_tracker.flush();
+        self.max_fresh = false;
         self.objective += new_rsp - removed_rsp;
         self.replacements += 1;
     }
@@ -1558,8 +1534,7 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.rsp[max_idx] = new_rsp;
         self.objective += new_rsp - removed_rsp;
         self.replacements += 1;
-        // The legacy loop never maintains the tournament.
-        self.tracker_fresh = false;
+        self.max_fresh = false;
     }
 
     fn maybe_report_progress(&mut self) {
@@ -1584,8 +1559,7 @@ impl<L: LocalityIndex> VasSampler<L> {
         self.points = Vec::new();
         self.rsp = Vec::new();
         self.index.reset(self.cutoff);
-        self.max_tracker = MaxTracker::new();
-        self.tracker_fresh = false;
+        self.max_fresh = false;
         self.gather = NeighborBatch::new();
         self.scratch_vals = Vec::new();
         self.objective = 0.0;
@@ -1651,17 +1625,40 @@ impl<L: LocalityIndex> Sampler for VasSampler<L> {
     }
 }
 
-/// Index and value of the maximum element (ties resolved to the first).
-fn argmax(values: &[f64]) -> (usize, f64) {
-    let mut idx = 0;
-    let mut best = f64::NEG_INFINITY;
-    for (i, &v) in values.iter().enumerate() {
-        if v > best {
-            best = v;
-            idx = i;
+/// The lowest index of the largest value and that value's exact bits: the
+/// pick of a first-wins `v > best` scan from `best = −∞`. NaN never wins a
+/// `>` and neither does −∞, so `None` means `values` is empty or holds only
+/// NaN and −∞.
+///
+/// Two passes: eight independent `>` lanes find the maximum (the lanes keep
+/// the loop free of a serial dependency, so it vectorizes), then a
+/// find-first `==` tests eight values at a time for the block holding its
+/// lowest index and picks the index within it. `==`, like `>`, does not tell
+/// `-0.0` from `+0.0`, and the value is read back from `values[i]`, so the
+/// result is bit-identical to the scan's whichever zero the lanes kept.
+fn argmax(values: &[f64]) -> Option<(usize, f64)> {
+    let chunks = values.chunks_exact(8);
+    let tail = chunks.remainder();
+    let mut lanes = [f64::NEG_INFINITY; 8];
+    for chunk in chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = if v > *m { v } else { *m };
         }
     }
-    (idx, best)
+    let best = lanes
+        .iter()
+        .chain(tail)
+        .fold(f64::NEG_INFINITY, |m, &v| if v > m { v } else { m });
+    if best == f64::NEG_INFINITY {
+        return None;
+    }
+    let i = values
+        .chunks(8)
+        .enumerate()
+        .find(|(_, block)| block.iter().fold(false, |hit, &v| hit | (v == best)))
+        .and_then(|(b, block)| block.iter().position(|&v| v == best).map(|j| 8 * b + j))
+        .expect("the maximum is one of the values");
+    Some((i, values[i]))
 }
 
 #[cfg(test)]
@@ -2017,8 +2014,8 @@ mod tests {
 
     #[test]
     fn optimized_inner_loop_matches_legacy_bitwise_per_tuple() {
-        // The tentpole refactor's contract: the tournament-tree Shrink and
-        // the zero-allocation queries must not change a single replacement
+        // The optimized loop's contract: the cached-maximum Shrink and the
+        // zero-allocation queries must not change a single replacement
         // decision. Lock-step the optimized and legacy samplers and compare
         // the full sample bit-for-bit after *every* observation.
         let d = GeolifeGenerator::with_size(3_000, 41).generate();
@@ -2070,7 +2067,7 @@ mod tests {
 
     #[test]
     fn optimized_loop_survives_multiple_passes() {
-        // Multi-pass runs exercise the tracker across fill → candidates →
+        // Multi-pass runs exercise the cached maximum across fill → candidates →
         // another full pass without a reset in between.
         let d = GeolifeGenerator::with_size(1_200, 59).generate();
         let eps = GaussianKernel::for_dataset(&d).bandwidth();
@@ -2084,7 +2081,7 @@ mod tests {
     }
 
     #[test]
-    fn tracker_state_survives_streaming_reuse() {
+    fn cached_state_survives_streaming_reuse() {
         // finalize() resets the sampler; a second stream through the same
         // instance must behave exactly like a fresh sampler.
         let d = GeolifeGenerator::with_size(2_000, 71).generate();
@@ -2104,6 +2101,131 @@ mod tests {
         assert_eq!(InterchangeStrategy::Naive.label(), "No ES");
         assert_eq!(InterchangeStrategy::ExpandShrink.label(), "ES");
         assert_eq!(InterchangeStrategy::ExpandShrinkLocality.label(), "ES+Loc");
+    }
+
+    /// Reference for [`argmax`]: the plain first-wins scan the legacy Shrink
+    /// step performs. Values are compared as bits, so `-0.0` and `+0.0`
+    /// count as different results.
+    fn first_wins_scan(values: &[f64]) -> Option<(usize, u64)> {
+        let mut best = f64::NEG_INFINITY;
+        let mut pick = None;
+        for (i, &v) in values.iter().enumerate() {
+            if v > best {
+                best = v;
+                pick = Some((i, v.to_bits()));
+            }
+        }
+        pick
+    }
+
+    fn argmax_bits(values: &[f64]) -> Option<(usize, u64)> {
+        argmax(values).map(|(i, v)| (i, v.to_bits()))
+    }
+
+    /// Deterministic values from an alphabet of ties and special floats.
+    fn tie_heavy_value(code: u64) -> f64 {
+        match code % 9 {
+            0 => f64::NAN,
+            1 => -0.0,
+            2 => 0.0,
+            3 => f64::NEG_INFINITY,
+            4 => f64::INFINITY,
+            c => (c - 5) as f64 * 0.5,
+        }
+    }
+
+    #[test]
+    fn argmax_of_empty_nan_and_negative_infinity_input_is_none() {
+        assert_eq!(argmax(&[]), None);
+        assert_eq!(argmax(&[f64::NAN]), None);
+        assert_eq!(argmax(&[f64::NAN; 17]), None);
+        assert_eq!(argmax(&[f64::NEG_INFINITY; 9]), None);
+        assert_eq!(argmax(&[f64::NAN, f64::NEG_INFINITY, f64::NAN]), None);
+    }
+
+    #[test]
+    fn argmax_skips_nan_lanes() {
+        let mut values = vec![f64::NAN; 17];
+        values[5] = 1.0;
+        values[13] = 2.0;
+        values[16] = 2.0;
+        assert_eq!(argmax(&values), Some((13, 2.0)));
+        assert_eq!(argmax(&[f64::INFINITY, f64::NAN]), Some((0, f64::INFINITY)));
+        // A NaN ahead of the maximum neither wins nor hides it.
+        assert_eq!(argmax(&[f64::NAN, 0.25, f64::NAN, 0.5]), Some((3, 0.5)));
+    }
+
+    #[test]
+    fn argmax_ties_resolve_to_the_lowest_index() {
+        let mut values = vec![0.0, 1.0, 1.0, 0.5, 1.0];
+        assert_eq!(argmax(&values), Some((1, 1.0)));
+        // Raising a later slot to the same value must not steal the win.
+        values[4] = 1.0;
+        assert_eq!(argmax(&values), Some((1, 1.0)));
+        // A strictly greater later slot does win.
+        values[4] = 1.0 + 1e-12;
+        assert_eq!(argmax(&values).map(|(i, _)| i), Some(4));
+        // Dropping it hands the win back to the earliest of the tied slots.
+        values[4] = 0.0;
+        assert_eq!(argmax(&values), Some((1, 1.0)));
+        // Many isolated slots at 0.0, the common tie in a sparse sample.
+        assert_eq!(argmax(&[0.0; 37]), Some((0, 0.0)));
+        // A tie split across the lanes and the tail keeps the first.
+        let mut values = vec![0.0; 17];
+        values[6] = 3.0;
+        values[9] = 3.0;
+        values[16] = 3.0;
+        assert_eq!(argmax(&values), Some((6, 3.0)));
+    }
+
+    #[test]
+    fn argmax_keeps_the_bits_of_the_first_signed_zero() {
+        assert_eq!(argmax_bits(&[-0.0, 0.0]), Some((0, (-0.0f64).to_bits())));
+        assert_eq!(argmax_bits(&[0.0, -0.0]), Some((0, 0.0f64.to_bits())));
+        // The zeros sit in different lanes, and the lanes' maximum may be
+        // either of them; the first zero's bits still come back.
+        let mut values = vec![-1.0; 17];
+        values[2] = -0.0;
+        values[11] = 0.0;
+        assert_eq!(argmax_bits(&values), Some((2, (-0.0f64).to_bits())));
+        values[2] = 0.0;
+        values[11] = -0.0;
+        assert_eq!(argmax_bits(&values), Some((2, 0.0f64.to_bits())));
+    }
+
+    #[test]
+    fn argmax_matches_the_first_wins_scan_at_every_short_length() {
+        // Lengths 0..=17 cover an empty input, a tail alone, one full
+        // 8-lane block with and without a tail, and two blocks plus a tail.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for len in 0..=17 {
+            for _ in 0..200 {
+                let values: Vec<f64> = (0..len)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        tie_heavy_value(state >> 33)
+                    })
+                    .collect();
+                assert_eq!(argmax_bits(&values), first_wins_scan(&values), "{values:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// `argmax` agrees with the first-wins scan on arbitrary inputs:
+        /// finite values, ties, signed zeros, NaN and infinities.
+        #[test]
+        fn argmax_agrees_with_the_first_wins_scan(
+            raw in proptest::collection::vec((0u64..18, -1.0e3f64..1.0e3), 0..70),
+        ) {
+            let values: Vec<f64> = raw
+                .iter()
+                .map(|&(code, v)| if code < 9 { tie_heavy_value(code) } else { v })
+                .collect();
+            proptest::prop_assert_eq!(argmax_bits(&values), first_wins_scan(&values));
+        }
     }
 
     #[test]

@@ -58,7 +58,6 @@ pub mod checkpoint;
 pub mod density;
 pub mod interchange;
 pub mod kernel;
-pub mod max_tracker;
 pub mod objective;
 pub mod outlier;
 pub mod shard;
@@ -67,7 +66,6 @@ pub use checkpoint::{BuildOutcome, CheckpointPolicy};
 pub use density::{density_counts_threaded, embed_density};
 pub use interchange::{InterchangeStrategy, ProgressEvent, VasConfig, VasSampler};
 pub use kernel::{GaussianKernel, Kernel, KernelKind};
-pub use max_tracker::MaxTracker;
 pub use objective::{objective, responsibilities, responsibility_of};
 pub use outlier::{find_outliers, with_outliers, Outlier};
 pub use shard::{shard_budgets, ShardedSampler};

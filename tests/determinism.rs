@@ -88,13 +88,13 @@ fn vas_sampler_is_deterministic() {
 
 #[test]
 fn optimized_inner_loop_is_bit_identical_to_the_legacy_implementation() {
-    // PR 2 rebuilt the Interchange inner loop (tournament-tree Shrink,
-    // zero-allocation spatial queries, cached cutoff radius). The refactor's
-    // contract is that it is a pure speed-up: on the seeds pinned here, both
-    // `ExpandShrink` and `ExpandShrinkLocality` must produce samples
-    // byte-identical to the pre-refactor implementation, which is retained
-    // behind `VasConfig::with_legacy_inner_loop` exactly for this test and
-    // for the `fig10_inner_loop` benchmark baseline.
+    // The optimized Interchange inner loop (a Shrink step that reads a
+    // cached maximum instead of rescanning every slot, zero-allocation
+    // spatial queries, cached cutoff radius) must be a pure speed-up: on the
+    // seeds pinned here, both `ExpandShrink` and `ExpandShrinkLocality` must
+    // produce samples byte-identical to the pre-refactor implementation,
+    // which is retained behind `VasConfig::with_legacy_inner_loop` exactly
+    // for this test and for the `fig10_inner_loop` benchmark baseline.
     for seed in [21u64, 99] {
         let data = GeolifeGenerator::with_size(10_000, seed).generate();
         let mut cases = vec![(
@@ -128,32 +128,79 @@ fn es_loc_over_hashgrid_is_bit_identical_to_the_legacy_loop_per_tuple() {
     // The PR 3 contract, the same one PR 2 pinned for the R-tree: switching
     // the locality backend to the spatial hash is a pure speed-up. Lock-step
     // the optimized and legacy samplers over the HashGrid backend and compare
-    // the full sample bit-for-bit after *every* observation.
-    let data = GeolifeGenerator::with_size(6_000, 47).generate();
-    let config = VasConfig::new(200)
-        .with_strategy(InterchangeStrategy::ExpandShrinkLocality)
-        .with_locality_backend(LocalityBackend::HashGrid);
-    let mut optimized = VasSampler::from_dataset(&data, config.clone());
-    let mut legacy = VasSampler::from_dataset(&data, config.with_legacy_inner_loop(true));
-    for (t, p) in data.iter().enumerate() {
-        optimized.observe(*p);
-        legacy.observe(*p);
-        assert_points_bitwise_equal(
-            optimized.current_sample(),
-            legacy.current_sample(),
-            &format!("ES+Loc over HashGrid at tuple {t}"),
-        );
+    // the full sample bit-for-bit after *every* observation. The second case
+    // streams every point twice, so twin slots can tie exactly for the
+    // largest responsibility, and K = 203 leaves a tail after the 8-lane
+    // blocks of the optimized loop's maximum scan.
+    let plain = GeolifeGenerator::with_size(6_000, 47).generate();
+    let twins: Vec<Point> = GeolifeGenerator::with_size(3_000, 53)
+        .generate()
+        .iter()
+        .flat_map(|p| [*p, *p])
+        .collect();
+    let twins = Dataset::from_points("geolife-twins", twins);
+    for (data, k) in [(&plain, 200), (&twins, 203)] {
+        let config = VasConfig::new(k)
+            .with_strategy(InterchangeStrategy::ExpandShrinkLocality)
+            .with_locality_backend(LocalityBackend::HashGrid);
+        let mut optimized = VasSampler::from_dataset(data, config.clone());
+        let mut legacy = VasSampler::from_dataset(data, config.with_legacy_inner_loop(true));
+        for (t, p) in data.iter().enumerate() {
+            optimized.observe(*p);
+            legacy.observe(*p);
+            assert_points_bitwise_equal(
+                optimized.current_sample(),
+                legacy.current_sample(),
+                &format!("ES+Loc over HashGrid, K = {k}, at tuple {t}"),
+            );
+            assert_eq!(
+                optimized.replacements(),
+                legacy.replacements(),
+                "K = {k}: replacement count diverged at tuple {t}"
+            );
+        }
         assert_eq!(
-            optimized.replacements(),
-            legacy.replacements(),
-            "replacement count diverged at tuple {t}"
+            optimized.current_objective().to_bits(),
+            legacy.current_objective().to_bits(),
+            "K = {k}: objective bits diverged"
         );
     }
-    assert_eq!(
-        optimized.current_objective().to_bits(),
-        legacy.current_objective().to_bits(),
-        "objective bits diverged"
-    );
+}
+
+#[test]
+fn es_loc_matches_the_legacy_loop_on_nan_coordinates() {
+    // A NaN candidate has no neighbours, so once it is swapped in its
+    // slot's responsibility is NaN. The legacy first-wins scan never picks
+    // a NaN slot as the maximum, and the optimized loop must agree. This
+    // pins agreement only; it is not a policy for non-finite input. The k-d
+    // tree requires finite coordinates (its median rebuild panics on NaN),
+    // so both loops fail alike there and it has nothing to compare.
+    let mut data = GeolifeGenerator::with_size(20_000, 7).generate();
+    for p in data.points.iter_mut().skip(3_000).step_by(997) {
+        p.x = f64::NAN;
+    }
+    for k in [50, 200] {
+        for backend in LocalityBackend::ALL {
+            if backend == LocalityBackend::KdTree {
+                continue;
+            }
+            let config = VasConfig::new(k)
+                .with_strategy(InterchangeStrategy::ExpandShrinkLocality)
+                .with_locality_backend(backend);
+            let optimized = VasSampler::from_dataset(&data, config.clone()).sample_dataset(&data);
+            let legacy = VasSampler::from_dataset(&data, config.with_legacy_inner_loop(true))
+                .sample_dataset(&data);
+            assert!(
+                legacy.points.iter().any(|p| p.x.is_nan()),
+                "K = {k}, {backend}: the legacy sample keeps no NaN point"
+            );
+            assert_points_bitwise_equal(
+                &optimized.points,
+                &legacy.points,
+                &format!("ES+Loc with NaN coordinates vs legacy (K = {k}, {backend})"),
+            );
+        }
+    }
 }
 
 #[test]
